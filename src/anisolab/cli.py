@@ -64,6 +64,11 @@ def _problem_from(cfg: ExperimentConfig, epsilon):
     return ProblemSpec(domain, A, source, reaction, epsilon)
 
 
+def _ledger(problem: ProblemSpec):
+    return compute_constants(problem.coefficients, problem.domain,
+                             problem.source, problem.reaction)
+
+
 def _run_solve(cfg, outdir, summary):
     problem = _problem_from(cfg, cfg.study.epsilon)
     space = make_space(cfg, problem.domain)
@@ -73,9 +78,9 @@ def _run_solve(cfg, outdir, summary):
                                system=system)
     else:
         sol = solve_linear(problem, space, system=system)
-    ledger = compute_constants(problem.coefficients, problem.domain,
-                               problem.source, problem.reaction)
+    ledger = _ledger(problem)
     apriori = apriori_check(sol, ledger, problem, system)
+    summary["constants"] = ledger.as_dict()
     summary["solve"] = {
         "dim": space.dim,
         "epsilon": cfg.study.epsilon,
@@ -93,11 +98,11 @@ def _run_solve(cfg, outdir, summary):
 def _run_rate(cfg, outdir, summary):
     problem = _problem_from(cfg, LIMIT)
     space = make_space(cfg, problem.domain)
-    ledger = compute_constants(problem.coefficients, problem.domain,
-                               problem.source, problem.reaction)
+    ledger = _ledger(problem)
     study = diagnostics.rate_study(problem, space, list(cfg.study.epsilons),
                                    check_bound=cfg.study.check_bound,
                                    ledger=ledger)
+    summary["constants"] = ledger.as_dict()
     diagnostics.write_rate_csv(study, outdir / "rate.csv")
     summary["rate"] = {
         "epsilons": study.epsilons, "e_x1": study.e_x1, "e_x2": study.e_x2,
@@ -131,6 +136,7 @@ def _run_cea(cfg, outdir, summary):
     spaces = [make_space(cfg, problem.domain, m1=n, m2=n)
               for n in cfg.study.sizes]
     report = diagnostics.cea_check(spaces, problem, damping=cfg.study.damping)
+    summary["constants"] = report.ledger.as_dict()
     with open(outdir / "cea.csv", "w", newline="") as fh:
         fh.write("dim,galerkin_error,best_error,bound_rhs,passed\n")
         for r in report.rows:
@@ -166,6 +172,7 @@ def _run_dq(cfg, outdir, summary):
     problem = _problem_from(cfg, LIMIT)
     space = make_space(cfg, problem.domain)
     report = diagnostics.difference_quotient_bound(problem, space)
+    summary["constants"] = report.ledger.as_dict()
     summary["dq"] = {
         "lhs": report.lhs, "grad_f": report.grad_f, "rhs": report.rhs,
         "rhs_statement": report.rhs_statement,
@@ -256,10 +263,7 @@ def _run_parabolic(cfg, outdir, summary):
 
 
 def _run_constants(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
-    ledger = compute_constants(problem.coefficients, problem.domain,
-                               problem.source, problem.reaction)
-    table = ledger.as_dict()
+    table = _ledger(_problem_from(cfg, LIMIT)).as_dict()
     summary["constants"] = table
     lines = ["constant ledger:"]
     width = max(len(k) for k in table)
@@ -293,12 +297,8 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
     }
     try:
         _RUNNERS[cfg.study.kind](cfg, outdir, summary)
-        ledger = None
         if "constants" not in summary:
-            problem = _problem_from(cfg, LIMIT)
-            ledger = compute_constants(problem.coefficients, problem.domain,
-                                       problem.source, problem.reaction)
-            summary["constants"] = ledger.as_dict()
+            summary["constants"] = _ledger(_problem_from(cfg, LIMIT)).as_dict()
     except HypothesisNotSatisfied as exc:
         summary["refusals"].append({"study": cfg.study.kind,
                                     "missing": list(exc.missing)})

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .coefficients import CoefficientField, ReactionSpec, SourceField, as_field
 from .expressions import ExpressionError, parse_expression
-from .spaces import GalerkinSpace, TensorDomain, build_space
+from .spaces import SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain, build_space
 
 __all__ = [
     "ConfigError",
@@ -258,6 +258,10 @@ def _validate(cfg: ExperimentConfig):
     if cfg.discretization.basis1 not in ("sine", "q1") or \
        cfg.discretization.basis2 not in ("sine", "q1"):
         raise ConfigError("basis kinds must be 'sine' or 'q1'", 1)
+    if "sine" in (cfg.discretization.basis1, cfg.discretization.basis2) and \
+       cfg.discretization.quad_order < SINE_MIN_QUAD_ORDER:
+        raise ConfigError(f"quad_order must be >= {SINE_MIN_QUAD_ORDER} "
+                          "for a sine basis", 1)
     if cfg.problem.lam <= 0:
         raise ConfigError("lambda must be positive", 1)
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import AssembledProblem, assemble_system, norm_matrices, project, _tables
-from .coefficients import HypothesisNotSatisfied
+from .coefficients import ConstantLedger, HypothesisNotSatisfied
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, solve_linear,
                        solve_semilinear)
 from .linsolve import SolverConfig
@@ -204,6 +204,7 @@ class CeaRow:
 class CeaReport:
     rows: list
     kind: str  # "limit-linear" | "perturbed-linear" | "limit-sqrt"
+    ledger: Optional[ConstantLedger] = None  # constants the bounds used
 
     @property
     def all_passed(self) -> bool:
@@ -278,7 +279,7 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
             label=f"{space.basis1.kind}({space.basis1.m})x{space.basis2.kind}({space.basis2.m})",
             dim=space.dim, galerkin_error=gal_err, best_error=best_err,
             bound_constant=constant, bound_rhs=rhs, sqrt_form=nonlinear))
-    return CeaReport(rows, kind)
+    return CeaReport(rows, kind, ledger)
 
 
 @dataclass
@@ -361,6 +362,7 @@ class DQReport:
     rhs: float                 # dq_const * ||d1 f||
     rhs_statement: float       # dq_const_statement * ||d1 f||  (reported only)
     rhs_inspace: float         # dq_const * ||d1 P_V f||  (projection variant)
+    ledger: Optional[ConstantLedger] = None  # constants the bound used
 
     @property
     def passed(self) -> bool:
@@ -403,6 +405,7 @@ def difference_quotient_bound(problem: ProblemSpec, space: GalerkinSpace,
         rhs=ledger.dq_const * grad_f,
         rhs_statement=ledger.dq_const_statement * grad_f,
         rhs_inspace=ledger.dq_const * grad_f_inspace,
+        ledger=ledger,
     )
 
 

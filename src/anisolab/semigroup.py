@@ -284,20 +284,24 @@ def resolvent_deviation(space: GalerkinSpace, A: CoefficientField,
                                    fit_slope(epsilons, deviations))
 
 
-def _lockstep_deviation(gen_eps: DiscreteGenerator, gen0: DiscreteGenerator,
-                        g, T: float, steps: int, stepper: str,
-                        yosida_mu: Optional[float]):
-    """Evolve both generators together; running sup of the M-norm deviation.
+def _march_doubled(gen: DiscreteGenerator, g, T: float, steps: int,
+                   stepper: str, yosida_mu: Optional[float]) -> Trajectory:
+    """Trajectory over [0, 2T] in ``2 * steps`` steps.
 
-    Returns (sup over [0,T], sup over [0,2T], trace of (t, deviation)).
     The march covers [0, 2T] so the horizon-doubling diagnostic reuses it.
     """
     cfg = EvolutionConfig(T=2.0 * T, stepper=stepper, steps=2 * steps,
                           yosida_mu=yosida_mu)
-    traj_eps = evolve(gen_eps, g, cfg)
-    traj_0 = evolve(gen0, g, cfg)
+    return evolve(gen, g, cfg)
+
+
+def _lockstep_deviation(traj_eps: Trajectory, traj_0: Trajectory, M,
+                        steps: int):
+    """Running sup of the M-norm deviation of two lockstep trajectories.
+
+    Returns (sup over [0,T], sup over [0,2T], trace of (t, deviation)).
+    """
     diffs = traj_eps.states - traj_0.states
-    M = gen0.M
     devs = np.sqrt(np.maximum(
         np.einsum("ki,ki->k", diffs, (M @ diffs.T).T), 0.0))
     sup_T = float(devs[: steps + 1].max())
@@ -353,31 +357,41 @@ def semigroup_deviation_study(space: GalerkinSpace, A: CoefficientField,
         system = assemble_system(space, A)
     g = np.asarray(g, dtype=float)
     gen0 = build_generator(space, A, LIMIT, system)
-
-    def one(eps):
-        gen = build_generator(space, A, eps, system)
-        m = steps
-        prev = None
-        while True:
-            sup_T, sup_2T, times, devs = _lockstep_deviation(
-                gen, gen0, g, T, m, stepper, yosida_mu)
-            if prev is not None:
-                err = abs(sup_T - prev)
+    epsilons = list(epsilons)
+    gens = [build_generator(space, A, eps, system) for eps in epsilons]
+    found = {}   # index -> (row, trace)
+    prev = {}    # index -> deviation at the previous step count
+    active = list(range(len(epsilons)))
+    m = steps
+    while active:
+        # Every epsilon still doubling compares against the same limit march.
+        traj_0 = _march_doubled(gen0, g, T, m, stepper, yosida_mu)
+        sups = parallel_map(lambda i: _lockstep_deviation(
+            _march_doubled(gens[i], g, T, m, stepper, yosida_mu),
+            traj_0, gen0.M, m), active)
+        still = []
+        for i, (sup_T, sup_2T, times, devs) in zip(active, sups):
+            if i in prev:
+                err = abs(sup_T - prev[i])
                 if err <= rel_step_tol * max(sup_T, 1e-300):
-                    return DeviationRow(eps, sup_T, sup_2T, m, err), (times, devs)
+                    found[i] = (DeviationRow(epsilons[i], sup_T, sup_2T, m, err),
+                                (times, devs))
+                    continue
             if 2 * m > max_steps:
-                if prev is None:
+                if i not in prev:
                     required = 4 * m
                 else:
                     shrink = err / max(rel_step_tol * sup_T, 1e-300)
                     required = int(m * 2 ** math.ceil(math.log2(max(shrink, 2.0))))
                 raise StepperAccuracyError(required, max_steps)
-            prev = sup_T
-            m *= 2
+            prev[i] = sup_T
+            still.append(i)
+        active = still
+        m *= 2
 
-    results = parallel_map(one, list(epsilons))
-    rows = [r[0] for r in results]
-    traces = {r.epsilon: tr for r, tr in zip(rows, (t for _, t in results))}
+    results = [found[i] for i in range(len(epsilons))]
+    rows = [row for row, _ in results]
+    traces = {row.epsilon: tr for row, tr in results}
     slope = fit_slope(epsilons, [r.deviation for r in rows])
     return SemigroupDeviationStudy(rows, T, slope, stepper, traces)
 

@@ -10,6 +10,12 @@ interval endpoints:
   normalized to unit L2 norm, so the 1D mass matrix is the identity.  Any
   ``m' >= m`` gives a nested family.
 
+Quadrature is composite Gauss-Legendre.  For Q1 each mesh element carries
+``quad_order`` points.  For sine the interval is cut into ``m`` equal panels
+(one per mode) carrying ``4 * quad_order`` points each, so the default order 4
+gives ``16 m`` points per direction: a 512 x 512 grid for the 2D space at
+``m = 32``.  Sine needs ``quad_order >= 3``; lower orders are rejected.
+
 A :class:`GalerkinSpace` is the tensor product of two families with the flat
 index convention ``flat = i * dim2 + j`` (second direction fastest), which
 makes Kronecker-structured matrices index-transparent.
@@ -34,12 +40,12 @@ __all__ = [
     "eval_basis",
     "embedding_matrix",
     "gauss_rule",
+    "SINE_MIN_QUAD_ORDER",
 ]
 
-# Panels per mode for the sine family: calibrated so that composite
-# Gauss-Legendre of order 4 integrates every product of two modes to
-# better than 1e-13 relative accuracy.
-SINE_PANELS_PER_MODE = 24
+# Smallest ``quad_order`` at which the sine rule (4 * order points per mode)
+# integrates every product of two modes or their derivatives to round-off.
+SINE_MIN_QUAD_ORDER = 3
 
 
 def gauss_rule(order: int):
@@ -53,12 +59,24 @@ def gauss_rule(order: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _composite_gauss(a: float, h: float, panels: int, order: int):
+    """Gauss rule of ``order`` points on each of ``panels`` cells of width ``h`` from ``a``."""
+    xg, wg = gauss_rule(order)
+    offsets = a + h * np.arange(panels)
+    pts = (offsets[:, None] + h * xg[None, :]).ravel()
+    wts = np.tile(h * wg, panels)
+    return pts, wts
+
+
 @dataclass(frozen=True)
 class Quadrature:
     """Composite Gauss-Legendre rule description.
 
-    ``order`` counts points per cell; the cell partition is chosen by the
-    basis family (mesh elements for Q1, uniform panels for sine).
+    The cell partition and the points per cell are chosen by the basis
+    family from ``order``: Q1 puts ``order`` points on each mesh element;
+    sine puts ``4 * order`` points on each of ``m`` uniform panels, i.e.
+    ``16 m`` points per direction at the default order 4.  Sine rejects
+    orders below ``SINE_MIN_QUAD_ORDER`` (3), which miss mode products.
     """
 
     order: int = 4
@@ -183,12 +201,7 @@ class Q1Basis(BasisFamily1D):
         return V, D
 
     def quad_points(self, order: int):
-        xg, wg = gauss_rule(order)
-        a, _ = self.interval
-        offsets = a + self.h * np.arange(self.m)
-        pts = (offsets[:, None] + self.h * xg[None, :]).ravel()
-        wts = np.tile(self.h * wg, self.m)
-        return pts, wts
+        return _composite_gauss(self.interval[0], self.h, self.m, order)
 
     def nodes(self):
         a, _ = self.interval
@@ -244,14 +257,14 @@ class SineBasis(BasisFamily1D):
         return V, D
 
     def quad_points(self, order: int):
-        panels = SINE_PANELS_PER_MODE * self.m
-        xg, wg = gauss_rule(order)
-        a, _ = self.interval
-        h = self.length / panels
-        offsets = a + h * np.arange(panels)
-        pts = (offsets[:, None] + h * xg[None, :]).ravel()
-        wts = np.tile(h * wg, panels)
-        return pts, wts
+        # One panel per mode: a product of two modes (values or derivatives)
+        # runs through at most one period on a panel, and 4 * order Gauss
+        # points integrate that to round-off from order 3 up.
+        if order < SINE_MIN_QUAD_ORDER:
+            raise ValueError(f"sine quadrature order must be >= "
+                             f"{SINE_MIN_QUAD_ORDER}, got {order}")
+        return _composite_gauss(self.interval[0], self.length / self.m,
+                                self.m, 4 * order)
 
     def is_nested_in(self, fine) -> bool:
         return (

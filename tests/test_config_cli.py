@@ -71,6 +71,13 @@ class TestParsing:
         cfg = parse_config("# top\n\n[study]\nkind = solve  # trailing\n")
         assert cfg.study.kind == "solve"
 
+    def test_sine_quad_order_below_three_rejected(self):
+        parse_config("[discretization]\nbasis1 = q1\nbasis2 = q1\n"
+                     "quad_order = 2\n")
+        with pytest.raises(ConfigError, match="quad_order must be >= 3"):
+            parse_config("[discretization]\nbasis1 = q1\nbasis2 = sine\n"
+                         "quad_order = 2\n")
+
     def test_unknown_study_kind(self):
         with pytest.raises(ConfigError, match="study kind"):
             parse_config("[study]\nkind = banana\n")
@@ -127,6 +134,41 @@ class TestRunConfig:
         assert code == 2
         assert summary["refusals"]
         assert "slices_vanish_x1" in summary["refusals"][0]["reason"]
+
+    @pytest.mark.parametrize("kind", ["solve", "rate", "cea", "dq", "ap"])
+    def test_ledger_computed_once_per_study(self, tmp_path, monkeypatch,
+                                            kind):
+        import anisolab.cli
+        import anisolab.coefficients
+
+        calls = []
+        real = anisolab.coefficients.compute_constants
+
+        def counting(*args, **kwargs):
+            calls.append(kind)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(anisolab.cli, "compute_constants", counting)
+        monkeypatch.setattr(anisolab.coefficients, "compute_constants",
+                            counting)
+        cfg = parse_config(MINIMAL.replace("kind = rate", f"kind = {kind}"))
+        summary, _ = run_config(cfg, tmp_path)
+        assert len(calls) == 1
+        assert summary["constants"]["poincare_omega2"] == pytest.approx(1.0)
+
+    def test_hypothesis_refusal_leaves_no_constants(self, tmp_path):
+        # The x1-dependent a12 has no declared partial, which the ledger
+        # would reject; the hypothesis gate must refuse before that.
+        text = MINIMAL.replace("kind = rate", "kind = dq").replace(
+            "f_grad_x1_in_l2 = true", "f_grad_x1_in_l2 = false").replace(
+            'a11 = "1"', 'a11 = "2"\na12 = "0.1*sin(x1)"\na21 = "0.1*sin(x1)"')
+        summary, code = run_config(parse_config(text), tmp_path)
+        assert code == 2
+        assert summary["refusals"] == [{"study": "dq",
+                                        "missing": ["grad_x1_in_l2"]}]
+        assert "constants" not in summary
+        data = json.loads((tmp_path / "summary.json").read_text())
+        assert "constants" not in data
 
     def test_determinism_byte_identical_outputs(self, tmp_path):
         for name in ("rate_identity.cfg", "ap_identity.cfg",

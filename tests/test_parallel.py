@@ -39,3 +39,33 @@ def test_threaded_study_is_deterministic(monkeypatch, dom, A_identity,
     monkeypatch.setenv("ANISO_THREADS", "3")
     b = rate_study(prob, sine8, eps, check_bound=False)
     assert a.e_x2 == b.e_x2 and a.e_x1 == b.e_x1 and a.e_l2 == b.e_l2
+
+
+def test_threaded_semigroup_study_marches_each_limit_once(monkeypatch, sine8,
+                                                          A_identity):
+    from anisolab import semigroup
+
+    g = np.zeros(sine8.dim)
+    g[0] = 1.0
+    eps = [2.0 ** -k for k in range(1, 7)]
+    limit_steps = []
+    real_evolve = semigroup.evolve
+
+    def counting_evolve(gen, g0, cfg, *args, **kwargs):
+        if gen.kind == "limit":
+            limit_steps.append(cfg.steps)
+        return real_evolve(gen, g0, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "evolve", counting_evolve)
+    monkeypatch.delenv("ANISO_THREADS", raising=False)
+    seq = semigroup.semigroup_deviation_study(sine8, A_identity, eps, g,
+                                              T=1.0, steps=64)
+    assert len(limit_steps) == len(set(limit_steps))
+    limit_steps.clear()
+    monkeypatch.setenv("ANISO_THREADS", "6")
+    par = semigroup.semigroup_deviation_study(sine8, A_identity, eps, g,
+                                              T=1.0, steps=64)
+    assert len(limit_steps) == len(set(limit_steps))
+    assert par.rows == seq.rows
+    for e in eps:
+        assert np.array_equal(par.traces[e][1], seq.traces[e][1])

@@ -139,6 +139,44 @@ class TestQuadrature:
         gram = V.T @ (wts[:, None] * V)
         assert np.max(np.abs(gram - np.eye(16))) < 1e-13
 
+    @pytest.mark.parametrize("order", [3, 4, 8])
+    @pytest.mark.parametrize("m", [1, 2, 16, 48])
+    def test_sine_1d_matrices_match_closed_forms(self, m, order):
+        a, b = -0.5, 1.3
+        L = b - a
+        basis = SineBasis((a, b), m)
+        pts, wts = basis.quad_points(order)
+        V, D = basis.eval_table(pts)
+        k = np.arange(1, m + 1)
+        J, K = np.meshgrid(k, k, indexing="ij")
+        odd = (J + K) % 2 == 1
+        # int phi_j phi_k' = 4 j k / (L (j^2 - k^2)) when j + k is odd
+        mixed = np.where(odd, 4.0 * J * K / (L * np.where(odd, J * J - K * K, 1)), 0.0)
+        cases = ((V.T @ (wts[:, None] * V), np.eye(m)),
+                 (D.T @ (wts[:, None] * D), np.diag((k * PI / L) ** 2)),
+                 (V.T @ (wts[:, None] * D), mixed))
+        for got, exact in cases:
+            scale = max(1.0, np.max(np.abs(exact)))
+            assert np.max(np.abs(got - exact)) / scale < 1e-13
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_sine_rule_rejects_orders_that_miss_mode_products(self, order):
+        with pytest.raises(ValueError, match="sine quadrature order"):
+            SineBasis((0.0, PI), 4).quad_points(order)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 32, 64])
+    def test_sine_rule_integrates_trig_up_to_twice_the_product_band(self, m):
+        a, b = -0.5, 1.3
+        L = b - a
+        pts, wts = SineBasis((a, b), m).quad_points(4)
+        for F in range(4 * m + 3):
+            omega = F * PI / L
+            phase = omega * (pts - a)
+            exact_sin = L * (1.0 - math.cos(F * PI)) / (F * PI) if F else 0.0
+            exact_cos = L if F == 0 else 0.0
+            assert abs(wts @ np.sin(phase) - exact_sin) < 1e-13
+            assert abs(wts @ np.cos(phase) - exact_cos) < 1e-13
+
     def test_q1_rule_covers_interval(self):
         basis = Q1Basis((0.0, 2.0), 5)
         pts, wts = basis.quad_points(4)
