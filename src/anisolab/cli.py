@@ -3,30 +3,31 @@ deterministic CSV/JSON reports.
 
 Exit codes: 0 when every requested verdict passes, 1 when a verdict fails,
 2 on a structured refusal (missing hypothesis flags) or a configuration
-error.  Repeated runs of the same config produce byte-identical outputs;
-wall-clock timings are therefore never written into report files (pass
-``--timings`` to get them on stderr).
+error, 3 on a numerical failure (recorded under ``failures`` in
+``summary.json``).  Repeated runs of the same config produce byte-identical
+outputs; wall-clock timings are therefore never written into report files
+(pass ``--timings`` to get them on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics, semigroup
-from .assembly import assemble_system
+from .assembly import assemble_load, assemble_system, project
 from .coefficients import (HypothesisNotSatisfied, compute_constants,
                            LEDGER_FORMULAS)
 from .config import (ConfigError, ExperimentConfig, build_problem_objects,
                      emit_config, load_config, make_space)
-from .elliptic import (LIMIT, ProblemSpec, apriori_check, export_solution_csv,
+from .elliptic import (ProblemSpec, apriori_check, export_solution_csv,
                        solve_linear, solve_semilinear)
 from .expressions import parse_expression
+from .linsolve import IndefiniteOperatorError, NonConvergenceError
+from .reports import write_csv, write_summary
+from .semigroup import StepperAccuracyError
 
 __all__ = ["main", "run_config"]
 
@@ -42,26 +43,11 @@ _SUBCOMMAND_KINDS = {
     "constants": "constants",
 }
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def _problem_from(cfg: ExperimentConfig, epsilon):
-    domain, A, source, reaction = build_problem_objects(cfg)
-    return ProblemSpec(domain, A, source, reaction, epsilon)
+# Numerical failures that end a study with a ``failures`` entry and exit
+# code 3, and the diagnostics each may carry.
+_NUMERICAL_FAILURES = (StepperAccuracyError, NonConvergenceError,
+                       IndefiniteOperatorError)
+_FAILURE_DIAGNOSTICS = ("required_steps", "iterations", "residual_norm")
 
 
 def _ledger(problem: ProblemSpec):
@@ -69,8 +55,8 @@ def _ledger(problem: ProblemSpec):
                              problem.source, problem.reaction)
 
 
-def _run_solve(cfg, outdir, summary):
-    problem = _problem_from(cfg, cfg.study.epsilon)
+def _run_solve(cfg, problem, outdir, summary):
+    problem = problem.with_epsilon(cfg.study.epsilon)
     space = make_space(cfg, problem.domain)
     system = assemble_system(space, problem.coefficients, problem.source)
     if problem.reaction.kind == "custom":
@@ -95,15 +81,20 @@ def _run_solve(cfg, outdir, summary):
     summary["verdicts"]["apriori_bounds"] = apriori.all_passed
 
 
-def _run_rate(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
+def _run_rate(cfg, problem, outdir, summary):
     space = make_space(cfg, problem.domain)
     ledger = _ledger(problem)
     study = diagnostics.rate_study(problem, space, list(cfg.study.epsilons),
                                    check_bound=cfg.study.check_bound,
                                    ledger=ledger)
     summary["constants"] = ledger.as_dict()
-    diagnostics.write_rate_csv(study, outdir / "rate.csv")
+    verdict = ("refused" if study.refusal else
+               "pass" if study.bound_verdict else
+               "fail" if study.bound_verdict is not None else "unchecked")
+    bounds = study.bound or [float("nan")] * len(study.epsilons)
+    write_csv(outdir / "rate.csv", "rate", zip(
+        study.epsilons, study.e_x1, study.e_x2, study.e_l2, bounds,
+        [verdict] * len(study.epsilons)))
     summary["rate"] = {
         "epsilons": study.epsilons, "e_x1": study.e_x1, "e_x2": study.e_x2,
         "e_l2": study.e_l2, "slope": study.slope, "bound": study.bound,
@@ -131,17 +122,14 @@ def _run_rate(cfg, outdir, summary):
         summary["verdicts"]["rate_mu_shrink"] = bool(mu_study.mu_shrink)
 
 
-def _run_cea(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
+def _run_cea(cfg, problem, outdir, summary):
     spaces = [make_space(cfg, problem.domain, m1=n, m2=n)
               for n in cfg.study.sizes]
     report = diagnostics.cea_check(spaces, problem, damping=cfg.study.damping)
     summary["constants"] = report.ledger.as_dict()
-    with open(outdir / "cea.csv", "w", newline="") as fh:
-        fh.write("dim,galerkin_error,best_error,bound_rhs,passed\n")
-        for r in report.rows:
-            fh.write(f"{r.dim},{r.galerkin_error:.17e},{r.best_error:.17e},"
-                     f"{r.bound_rhs:.17e},{str(r.passed).lower()}\n")
+    write_csv(outdir / "cea.csv", "cea",
+              ((r.dim, r.galerkin_error, r.best_error, r.bound_rhs, r.passed)
+               for r in report.rows))
     summary["cea"] = {
         "kind": report.kind,
         "rows": [{"dim": r.dim, "galerkin_error": r.galerkin_error,
@@ -151,12 +139,14 @@ def _run_cea(cfg, outdir, summary):
     summary["verdicts"]["cea_bound"] = report.all_passed
 
 
-def _run_ap(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
+def _run_ap(cfg, problem, outdir, summary):
     spaces = [make_space(cfg, problem.domain, m1=n, m2=n)
               for n in cfg.study.sizes]
     report = diagnostics.ap_diagram(problem, list(cfg.study.epsilons), spaces)
-    diagnostics.write_ap_csv(report, outdir / "ap_grid.csv")
+    write_csv(outdir / "ap_grid.csv", "ap_grid",
+              ((eps, n, report.grid[i, j])
+               for i, eps in enumerate(report.epsilons)
+               for j, n in enumerate(report.sizes)))
     summary["ap"] = {
         "epsilons": report.epsilons, "sizes": report.sizes,
         "row_trace": report.row_trace, "col_trace": report.col_trace,
@@ -168,8 +158,7 @@ def _run_ap(cfg, outdir, summary):
     summary["verdicts"]["ap_gap"] = report.gap_ok
 
 
-def _run_dq(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
+def _run_dq(cfg, problem, outdir, summary):
     space = make_space(cfg, problem.domain)
     report = diagnostics.difference_quotient_bound(problem, space)
     summary["constants"] = report.ledger.as_dict()
@@ -182,8 +171,7 @@ def _run_dq(cfg, outdir, summary):
     summary["verdicts"]["dq_bound"] = report.passed
 
 
-def _run_resolvent(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
+def _run_resolvent(cfg, problem, outdir, summary):
     space = make_space(cfg, problem.domain)
     study = semigroup.resolvent_deviation(space, problem.coefficients,
                                           list(cfg.study.epsilons),
@@ -192,27 +180,26 @@ def _run_resolvent(cfg, outdir, summary):
         summary["refusals"].append({"study": "resolvent",
                                     "reason": study.refusal})
         return
-    with open(outdir / "resolvent.csv", "w", newline="") as fh:
-        fh.write("epsilon,deviation\n")
-        for eps, d in zip(study.epsilons, study.deviations):
-            fh.write(f"{eps:.17e},{d:.17e}\n")
+    write_csv(outdir / "resolvent.csv", "resolvent",
+              zip(study.epsilons, study.deviations))
     summary["resolvent"] = {"epsilons": study.epsilons,
                             "deviations": study.deviations,
                             "slope": study.slope}
     summary["verdicts"]["resolvent_slope_ge_0.95"] = study.slope >= 0.95
 
 
-def _run_semigroup(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
+def _run_semigroup(cfg, problem, outdir, summary):
     space = make_space(cfg, problem.domain)
-    from .assembly import project
     g = project(space, problem.source)
     study = semigroup.semigroup_deviation_study(
         space, problem.coefficients, list(cfg.study.epsilons), g,
         cfg.study.T, stepper=cfg.study.stepper, steps=cfg.study.steps,
         yosida_mu=cfg.study.yosida_mu if cfg.study.stepper == "yosida" else None)
-    semigroup.write_deviation_trace_csv(study, outdir / "deviation_trace.csv")
-    semigroup.write_deviation_summary_csv(study, outdir / "deviation_summary.csv")
+    write_csv(outdir / "deviation_trace.csv", "deviation_trace",
+              ((eps, t, d) for eps in sorted(study.traces, reverse=True)
+               for t, d in zip(*study.traces[eps])))
+    write_csv(outdir / "deviation_summary.csv", "deviation_summary",
+              ((r.epsilon, r.deviation, study.slope) for r in study.rows))
     summary["semigroup"] = {
         "T": study.T, "slope": study.slope,
         "rows": [{"epsilon": r.epsilon, "deviation": r.deviation,
@@ -224,10 +211,8 @@ def _run_semigroup(cfg, outdir, summary):
     summary["verdicts"]["semigroup_linear_in_T"] = study.linear_in_horizon
 
 
-def _run_parabolic(cfg, outdir, summary):
-    problem = _problem_from(cfg, LIMIT)
+def _run_parabolic(cfg, problem, outdir, summary):
     space = make_space(cfg, problem.domain)
-    from .assembly import assemble_load, project
     u0_expr = cfg.study.u0 or cfg.problem.f
     u0_fn = parse_expression(u0_expr)
     u0 = project(space, lambda x1, x2: u0_fn(x1=x1, x2=x2))
@@ -248,11 +233,9 @@ def _run_parabolic(cfg, outdir, summary):
         space, problem.coefficients, u0_of_eps, u0,
         list(cfg.study.epsilons), cfg.study.T, stepper=cfg.study.stepper,
         steps=cfg.study.steps, source_loads=source_loads, tol=cfg.study.tol)
-    with open(outdir / "parabolic.csv", "w", newline="") as fh:
-        fh.write("epsilon,initial_gap,sup_deviation\n")
-        for r in report.rows:
-            fh.write(f"{r.epsilon:.17e},{r.initial_gap:.17e},"
-                     f"{r.sup_deviation:.17e}\n")
+    write_csv(outdir / "parabolic.csv", "parabolic",
+              ((r.epsilon, r.initial_gap, r.sup_deviation)
+               for r in report.rows))
     summary["parabolic"] = {
         "rows": [{"epsilon": r.epsilon, "initial_gap": r.initial_gap,
                   "sup_deviation": r.sup_deviation} for r in report.rows],
@@ -262,14 +245,13 @@ def _run_parabolic(cfg, outdir, summary):
     summary["verdicts"]["parabolic_below_tol"] = report.final_below_tol
 
 
-def _run_constants(cfg, outdir, summary):
-    table = _ledger(_problem_from(cfg, LIMIT)).as_dict()
+def _run_constants(cfg, problem, outdir, summary):
+    table = _ledger(problem).as_dict()
     summary["constants"] = table
-    lines = ["constant ledger:"]
     width = max(len(k) for k in table)
+    print("constant ledger:")
     for name, value in table.items():
-        lines.append(f"  {name:<{width}} = {value:.12g}    [{LEDGER_FORMULAS[name]}]")
-    summary["_stdout"] = "\n".join(lines)
+        print(f"  {name:<{width}} = {value:.12g}    [{LEDGER_FORMULAS[name]}]")
 
 
 _RUNNERS = {
@@ -295,19 +277,24 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
         "verdicts": {},
         "refusals": [],
     }
+    problem = ProblemSpec(*build_problem_objects(cfg))
     try:
-        _RUNNERS[cfg.study.kind](cfg, outdir, summary)
+        _RUNNERS[cfg.study.kind](cfg, problem, outdir, summary)
         if "constants" not in summary:
-            summary["constants"] = _ledger(_problem_from(cfg, LIMIT)).as_dict()
+            summary["constants"] = _ledger(problem).as_dict()
     except HypothesisNotSatisfied as exc:
         summary["refusals"].append({"study": cfg.study.kind,
                                     "missing": list(exc.missing)})
-    stdout_text = summary.pop("_stdout", None)
+    except _NUMERICAL_FAILURES as exc:
+        failure = {"study": cfg.study.kind, "error": type(exc).__name__,
+                   "message": str(exc)}
+        failure.update({k: getattr(exc, k) for k in _FAILURE_DIAGNOSTICS
+                        if hasattr(exc, k)})
+        summary["failures"] = [failure]
     if "json" in cfg.output.formats:
-        payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
-        (Path(outdir) / "summary.json").write_text(payload)
-    if stdout_text:
-        print(stdout_text)
+        write_summary(outdir / "summary.json", summary)
+    if "failures" in summary:
+        return summary, 3
     if summary["refusals"]:
         return summary, 2
     all_pass = all(summary["verdicts"].values()) if summary["verdicts"] else True
@@ -370,6 +357,8 @@ def main(argv=None) -> int:
         print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     for item in summary["refusals"]:
         print(f"refused: {item}", file=sys.stderr)
+    for item in summary.get("failures", []):
+        print(f"failed: {item}", file=sys.stderr)
     return code
 
 

@@ -10,6 +10,7 @@ sup-norms of the coefficients.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,6 +31,8 @@ __all__ = [
     "compute_constants",
     "integrate_on_domain",
     "HypothesisNotSatisfied",
+    "REQUIRED_HYPOTHESES",
+    "missing_hypotheses",
 ]
 
 
@@ -41,6 +44,30 @@ class HypothesisNotSatisfied(ValueError):
         super().__init__(
             "bound verdict refused; missing hypotheses: " + ", ".join(self.missing)
         )
+
+
+# Hypothesis flags each study needs, in reporting order.  A flag names the
+# attribute of that name on ``CoefficientField`` or ``SourceField``.
+REQUIRED_HYPOTHESES = {
+    "rate": ("offdiag_derivs_bounded", "a22_depends_only_on_x2",
+             "grad_x1_in_l2", "slices_vanish_x1"),
+    "rate-linear-reaction": ("offdiag_derivs_bounded", "a22_depends_only_on_x2",
+                             "grad_x1_in_l2", "slices_vanish_x1",
+                             "offdiag_mixed_deriv_in_l2"),
+    "resolvent": ("offdiag_derivs_bounded", "a22_depends_only_on_x2",
+                  "offdiag_mixed_deriv_in_l2", "grad_x1_in_l2",
+                  "slices_vanish_x1"),
+    "ap": ("offdiag_derivs_bounded",),
+    "dq": ("a22_depends_only_on_x2", "grad_x1_in_l2"),
+    "tensor-oracle": ("a22_depends_only_on_x2",),
+}
+
+
+def missing_hypotheses(study: str, A: "CoefficientField",
+                       f: Optional["SourceField"] = None) -> list:
+    """Flags of ``REQUIRED_HYPOTHESES[study]`` that ``A`` or ``f`` leaves unset."""
+    return [flag for flag in REQUIRED_HYPOTHESES[study]
+            if not getattr(A if hasattr(A, flag) else f, flag)]
 
 
 class ScalarField:
@@ -267,29 +294,8 @@ class SourceField:
         return l2_norm_on_domain(domain, self.dx1)
 
 
-class BlockScaling(tuple):
-    """Multipliers ``(s11, s12, s21, s22)`` applied blockwise during assembly."""
-
-    __slots__ = ()
-
-    def __new__(cls, s11, s12, s21, s22):
-        return super().__new__(cls, (float(s11), float(s12), float(s21), float(s22)))
-
-    @property
-    def s11(self):
-        return self[0]
-
-    @property
-    def s12(self):
-        return self[1]
-
-    @property
-    def s21(self):
-        return self[2]
-
-    @property
-    def s22(self):
-        return self[3]
+# Multipliers applied blockwise during assembly.
+BlockScaling = namedtuple("BlockScaling", "s11 s12 s21 s22")
 
 
 def scale_matrix(A: CoefficientField, epsilon: float) -> BlockScaling:

@@ -213,6 +213,7 @@ def _strip_comment(raw: str) -> str:
 def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     section = None
+    where = {}  # (section, attribute) -> (line, column) of its key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).rstrip()
         if not line.strip():
@@ -241,29 +242,39 @@ def parse_config(text: str) -> ExperimentConfig:
         attr, kind = spec if isinstance(spec, tuple) else (key, spec)
         col = line.index("=") + 2
         setattr(getattr(cfg, section), attr, _parse_value(kind, value, lineno, col))
-    _validate(cfg)
+        where[(section, attr)] = (lineno, indent)
+    _validate(cfg, where)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig):
+def _validate(cfg: ExperimentConfig, where: dict):
+    """Semantic checks, each reported at the line and column of the key at
+    fault; a key left at its default is reported at line 1."""
+
+    def error(message, section, attr):
+        return ConfigError(message, *where.get((section, attr), (1, 1)))
+
     st = cfg.study
     if st.kind not in STUDY_KINDS:
-        raise ConfigError(f"unknown study kind {st.kind!r}; expected one of "
-                          + ", ".join(STUDY_KINDS), 1)
-    for eps in (st.epsilon,) + tuple(st.epsilons):
-        if not (0.0 < eps <= 1.0):
-            raise ConfigError(f"epsilon must lie in (0,1], got {eps!r}", 1)
+        raise error(f"unknown study kind {st.kind!r}; expected one of "
+                    + ", ".join(STUDY_KINDS), "study", "kind")
+    for attr, values in (("epsilon", (st.epsilon,)), ("epsilons", st.epsilons)):
+        for eps in values:
+            if not (0.0 < eps <= 1.0):
+                raise error(f"epsilon must lie in (0,1], got {eps!r}",
+                            "study", attr)
     if cfg.problem.beta not in ("zero", "linear", "arctan"):
-        raise ConfigError(f"unknown reaction {cfg.problem.beta!r}", 1)
-    if cfg.discretization.basis1 not in ("sine", "q1") or \
-       cfg.discretization.basis2 not in ("sine", "q1"):
-        raise ConfigError("basis kinds must be 'sine' or 'q1'", 1)
-    if "sine" in (cfg.discretization.basis1, cfg.discretization.basis2) and \
-       cfg.discretization.quad_order < SINE_MIN_QUAD_ORDER:
-        raise ConfigError(f"quad_order must be >= {SINE_MIN_QUAD_ORDER} "
-                          "for a sine basis", 1)
+        raise error(f"unknown reaction {cfg.problem.beta!r}", "problem", "beta")
+    d = cfg.discretization
+    for attr in ("basis1", "basis2"):
+        if getattr(d, attr) not in ("sine", "q1"):
+            raise error("basis kinds must be 'sine' or 'q1'",
+                        "discretization", attr)
+    if "sine" in (d.basis1, d.basis2) and d.quad_order < SINE_MIN_QUAD_ORDER:
+        raise error(f"quad_order must be >= {SINE_MIN_QUAD_ORDER} "
+                    "for a sine basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
-        raise ConfigError("lambda must be positive", 1)
+        raise error("lambda must be positive", "problem", "lam")
 
 
 def _emit_value(kind, value) -> str:

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import AssembledProblem, assemble_system, norm_matrices, project, _tables
-from .coefficients import ConstantLedger, HypothesisNotSatisfied
+from .coefficients import (ConstantLedger, HypothesisNotSatisfied,
+                           missing_hypotheses)
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, solve_linear,
                        solve_semilinear)
 from .linsolve import SolverConfig
@@ -38,8 +39,6 @@ __all__ = [
     "LinearReactionStudy",
     "linear_reaction_rate_study",
     "grad1_functional",
-    "write_rate_csv",
-    "write_ap_csv",
 ]
 
 SLOPE_FLOOR = 1e3 * np.finfo(float).eps  # errors below this are quadrature noise
@@ -98,23 +97,6 @@ def fit_slope(epsilons, errors, floor: float = SLOPE_FLOOR) -> float:
     return float(np.polyfit(np.log(eps[keep]), np.log(err[keep]), 1)[0])
 
 
-def _require_flags(problem: ProblemSpec, need_mixed: bool = False):
-    missing = []
-    A = problem.coefficients
-    f = problem.source
-    if not A.offdiag_derivs_bounded:
-        missing.append("offdiag_derivs_bounded")
-    if not A.a22_depends_only_on_x2:
-        missing.append("a22_depends_only_on_x2")
-    if not f.grad_x1_in_l2:
-        missing.append("grad_x1_in_l2")
-    if not f.slices_vanish_x1:
-        missing.append("slices_vanish_x1")
-    if need_mixed and not A.offdiag_mixed_deriv_in_l2:
-        missing.append("offdiag_mixed_deriv_in_l2")
-    return missing
-
-
 @dataclass
 class RateStudy:
     epsilons: list
@@ -163,7 +145,8 @@ def rate_study(problem: ProblemSpec, space: GalerkinSpace,
     study = RateStudy(list(epsilons), e_x1, e_x2, e_l2, slope)
 
     if check_bound:
-        missing = _require_flags(problem)
+        missing = missing_hypotheses("rate", problem.coefficients,
+                                     problem.source)
         if missing:
             study.refusal = "missing hypotheses: " + ", ".join(missing)
             return study
@@ -318,9 +301,7 @@ def ap_diagram(problem: ProblemSpec, epsilons: Sequence[float],
     reach the same corner, and their terminal disagreement is the
     commutation gap.
     """
-    missing = []
-    if not problem.coefficients.offdiag_derivs_bounded:
-        missing.append("offdiag_derivs_bounded")
+    missing = missing_hypotheses("ap", problem.coefficients)
     if missing:
         raise HypothesisNotSatisfied(missing)
     if reference_space is None:
@@ -382,11 +363,7 @@ def difference_quotient_bound(problem: ProblemSpec, space: GalerkinSpace,
     source.  Both candidate constants are reported; only the larger
     (the one derived by the shift argument) is asserted.
     """
-    missing = []
-    if not problem.coefficients.a22_depends_only_on_x2:
-        missing.append("a22_depends_only_on_x2")
-    if not problem.source.grad_x1_in_l2:
-        missing.append("grad_x1_in_l2")
+    missing = missing_hypotheses("dq", problem.coefficients, problem.source)
     if missing:
         raise HypothesisNotSatisfied(missing)
     system = assemble_system(space, problem.coefficients, problem.source)
@@ -438,7 +415,8 @@ def linear_reaction_rate_study(problem: ProblemSpec, space: GalerkinSpace,
     from .coefficients import ReactionSpec
 
     study = LinearReactionStudy(list(mus), {}, {})
-    missing = _require_flags(problem, need_mixed=True)
+    missing = missing_hypotheses("rate-linear-reaction", problem.coefficients,
+                                 problem.source)
     if missing:
         study.refusal = "missing hypotheses: " + ", ".join(missing)
         return study
@@ -475,27 +453,3 @@ def grad1_functional(space: GalerkinSpace, coeffs, phi):
     p2 = space._quad2[0]
     X1, X2 = np.meshgrid(p1, p2, indexing="ij")
     return float(w1 @ (dvals * np.asarray(phi(X1, X2), dtype=float)) @ w2)
-
-
-def _fmt(x) -> str:
-    return f"{x:.17e}"
-
-
-def write_rate_csv(study: RateStudy, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("epsilon,e_x1,e_x2,e_l2,bound,verdict\n")
-        for k, eps in enumerate(study.epsilons):
-            bound = study.bound[k] if study.bound is not None else float("nan")
-            verdict = ("refused" if study.refusal else
-                       "pass" if study.bound_verdict else
-                       "fail" if study.bound_verdict is not None else "unchecked")
-            fh.write(",".join([_fmt(eps), _fmt(study.e_x1[k]), _fmt(study.e_x2[k]),
-                               _fmt(study.e_l2[k]), _fmt(bound), verdict]) + "\n")
-
-
-def write_ap_csv(report: APDiagramReport, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("epsilon,n,error\n")
-        for i, eps in enumerate(report.epsilons):
-            for j, n in enumerate(report.sizes):
-                fh.write(f"{_fmt(eps)},{n},{_fmt(report.grid[i, j])}\n")

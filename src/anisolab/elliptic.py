@@ -24,6 +24,7 @@ import scipy.sparse.linalg as spla
 from .assembly import AssembledProblem, assemble_system, _tables
 from .coefficients import CoefficientField, ConstantLedger, ReactionSpec, SourceField
 from .linsolve import NonConvergenceError, SolverConfig, solve
+from .reports import write_csv
 from .spaces import GalerkinSpace, TensorDomain
 
 __all__ = [
@@ -267,8 +268,5 @@ def export_solution_csv(sol: GalerkinSolution, path, n1: int = 65, n2: int = 65)
     x1 = np.linspace(d.omega1[0], d.omega1[1], n1)
     x2 = np.linspace(d.omega2[0], d.omega2[1], n2)
     U = sol.values(x1, x2)
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,u\n")
-        for i in range(n1):
-            for j in range(n2):
-                fh.write(f"{x1[i]:.17e},{x2[j]:.17e},{U[i, j]:.17e}\n")
+    write_csv(path, "grid", ((x1[i], x2[j], U[i, j])
+                             for i in range(n1) for j in range(n2)))

@@ -21,7 +21,8 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (AssembledProblem, assemble_system, mass_1d,
                        project_1d, stiffness_1d)
-from .coefficients import CoefficientField, HypothesisNotSatisfied, SourceField
+from .coefficients import (CoefficientField, HypothesisNotSatisfied, SourceField,
+                           missing_hypotheses)
 from .diagnostics import fit_slope
 from .elliptic import LIMIT
 from .parallel import parallel_map
@@ -44,8 +45,6 @@ __all__ = [
     "tensor_semigroup_oracle_check",
     "ParabolicReport",
     "parabolic_convergence",
-    "write_deviation_trace_csv",
-    "write_deviation_summary_csv",
 ]
 
 
@@ -139,10 +138,6 @@ class Trajectory:
     states: np.ndarray  # (len(times), dim)
     step_norms: np.ndarray  # M-norm after every step (contraction record)
 
-    def at(self, t: float) -> np.ndarray:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        return self.states[idx]
-
 
 _CONTRACTION_SLACK = {"be": 1e-12, "cn": 1e-10, "yosida": 1e-10}
 
@@ -157,8 +152,7 @@ def _sample_indices(cfg: EvolutionConfig, tau: float):
     return np.asarray(idx, dtype=int)
 
 
-def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig,
-           check_contraction: bool = True) -> Trajectory:
+def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
     """March the contraction flow from initial state ``g``.
 
     Backward Euler solves ``(M + tau K) u+ = M u (+ tau F)``; Crank-Nicolson
@@ -210,11 +204,10 @@ def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig,
     for k in range(cfg.steps):
         u = step(u, k)
         norms[k + 1] = gen.m_norm(u)
-        if check_contraction and cfg.source is None:
-            if norms[k + 1] > norms[k] * (1.0 + slack):
-                raise RuntimeError(
-                    f"contraction violated at step {k + 1}: "
-                    f"{norms[k + 1]:.16e} > {norms[k]:.16e}")
+        if cfg.source is None and norms[k + 1] > norms[k] * (1.0 + slack):
+            raise RuntimeError(
+                f"contraction violated at step {k + 1}: "
+                f"{norms[k + 1]:.16e} > {norms[k]:.16e}")
         if (k + 1) in keep:
             states.append(u.copy())
     return Trajectory(sample * tau, np.asarray(states), norms)
@@ -249,25 +242,13 @@ class ResolventDeviationStudy:
 
 def resolvent_deviation(space: GalerkinSpace, A: CoefficientField,
                         epsilons: Sequence[float], mu: float,
-                        f: SourceField,
-                        check_flags: bool = True) -> ResolventDeviationStudy:
+                        f: SourceField) -> ResolventDeviationStudy:
     """Distance between the perturbed and limit resolvents applied to f."""
-    if check_flags:
-        missing = []
-        if not A.offdiag_derivs_bounded:
-            missing.append("offdiag_derivs_bounded")
-        if not A.a22_depends_only_on_x2:
-            missing.append("a22_depends_only_on_x2")
-        if not A.offdiag_mixed_deriv_in_l2:
-            missing.append("offdiag_mixed_deriv_in_l2")
-        if not f.grad_x1_in_l2:
-            missing.append("grad_x1_in_l2")
-        if not f.slices_vanish_x1:
-            missing.append("slices_vanish_x1")
-        if missing:
-            return ResolventDeviationStudy(list(epsilons), [], float("nan"),
-                                           refusal="missing hypotheses: "
-                                           + ", ".join(missing))
+    missing = missing_hypotheses("resolvent", A, f)
+    if missing:
+        return ResolventDeviationStudy(list(epsilons), [], float("nan"),
+                                       refusal="missing hypotheses: "
+                                       + ", ".join(missing))
     system = assemble_system(space, A, f)
     F = system.F
     gen0 = build_generator(space, A, LIMIT, system)
@@ -417,8 +398,9 @@ def tensor_semigroup_oracle_check(space: GalerkinSpace, A: CoefficientField,
     evolves ``g2`` with the 1D second-direction generator; the 2D state must
     equal ``g1 (x) (evolved g2)``.  Requires an x2-only a22.
     """
-    if not A.a22_depends_only_on_x2:
-        raise HypothesisNotSatisfied(["a22_depends_only_on_x2"])
+    missing = missing_hypotheses("tensor-oracle", A)
+    if missing:
+        raise HypothesisNotSatisfied(missing)
     order = space.quadrature.order
     c1 = g1 if isinstance(g1, np.ndarray) else project_1d(space.basis1, g1, order)
     c2 = g2 if isinstance(g2, np.ndarray) else project_1d(space.basis2, g2, order)
@@ -497,23 +479,3 @@ def parabolic_convergence(space: GalerkinSpace, A: CoefficientField,
         sup = max(float(np.sqrt(max(d @ (system.M @ d), 0.0))) for d in diffs)
         rows.append(ParabolicRow(eps, gap, sup))
     return ParabolicReport(rows, tol)
-
-
-def _fmt(x) -> str:
-    return f"{x:.17e}"
-
-
-def write_deviation_trace_csv(study: SemigroupDeviationStudy, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("epsilon,t,deviation\n")
-        for eps in sorted(study.traces, reverse=True):
-            times, devs = study.traces[eps]
-            for t, d in zip(times, devs):
-                fh.write(f"{_fmt(eps)},{_fmt(t)},{_fmt(d)}\n")
-
-
-def write_deviation_summary_csv(study: SemigroupDeviationStudy, path):
-    with open(path, "w", newline="") as fh:
-        fh.write("epsilon,D_sup,slope\n")
-        for row in study.rows:
-            fh.write(f"{_fmt(row.epsilon)},{_fmt(row.deviation)},{_fmt(study.slope)}\n")

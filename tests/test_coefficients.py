@@ -159,3 +159,71 @@ class TestIntegration:
     def test_source_norms(self, dom, f_mode11):
         assert f_mode11.norm_l2(dom) == pytest.approx(1.0, rel=1e-12)
         assert f_mode11.norm_grad_x1(dom) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestHypothesisTable:
+    """With every flag unset, each gated entry point names exactly its row
+    of ``REQUIRED_HYPOTHESES``, in order."""
+
+    def test_rows_frozen(self):
+        from anisolab.coefficients import REQUIRED_HYPOTHESES
+
+        A_flags = ("offdiag_derivs_bounded", "a22_depends_only_on_x2")
+        f_flags = ("grad_x1_in_l2", "slices_vanish_x1")
+        mixed = ("offdiag_mixed_deriv_in_l2",)
+        assert REQUIRED_HYPOTHESES == {
+            "rate": A_flags + f_flags,
+            "rate-linear-reaction": A_flags + f_flags + mixed,
+            "resolvent": A_flags + mixed + f_flags,
+            "ap": A_flags[:1],
+            "dq": A_flags[1:] + f_flags[:1],
+            "tensor-oracle": A_flags[1:],
+        }
+
+    @pytest.fixture(scope="class")
+    def bare(self, dom):
+        from anisolab.coefficients import SourceField
+        from anisolab.elliptic import ProblemSpec
+        from anisolab.spaces import build_space
+
+        A = CoefficientField(1.0, 0.0, 0.0, 1.0, lam=1.0,
+                             a22_depends_only_on_x2=False,
+                             offdiag_derivs_bounded=False,
+                             offdiag_mixed_deriv_in_l2=False)
+        f = SourceField(as_field(1.0))
+        return ProblemSpec(dom, A, f), build_space(dom, "sine", 4, "sine", 4)
+
+    def test_refusal_strings(self, bare):
+        from anisolab.coefficients import REQUIRED_HYPOTHESES
+        from anisolab.diagnostics import linear_reaction_rate_study, rate_study
+        from anisolab.semigroup import resolvent_deviation
+
+        problem, space = bare
+        A, f = problem.coefficients, problem.source
+        refusals = {
+            "rate": rate_study(problem, space, [0.5, 0.25]).refusal,
+            "rate-linear-reaction": linear_reaction_rate_study(
+                problem, space, [0.5, 0.25]).refusal,
+            "resolvent": resolvent_deviation(space, A, [0.5], 1.0, f).refusal,
+        }
+        for study, refusal in refusals.items():
+            assert refusal == ("missing hypotheses: "
+                               + ", ".join(REQUIRED_HYPOTHESES[study]))
+
+    def test_raised_missing_lists(self, bare):
+        from anisolab.coefficients import (REQUIRED_HYPOTHESES,
+                                           HypothesisNotSatisfied)
+        from anisolab.diagnostics import ap_diagram, difference_quotient_bound
+        from anisolab.semigroup import tensor_semigroup_oracle_check
+
+        problem, space = bare
+        calls = {
+            "ap": lambda: ap_diagram(problem, [0.5], [space]),
+            "dq": lambda: difference_quotient_bound(problem, space),
+            "tensor-oracle": lambda: tensor_semigroup_oracle_check(
+                space, problem.coefficients, np.ones(4), np.ones(4), 0.1, 1.0),
+        }
+        for study, call in calls.items():
+            with pytest.raises(HypothesisNotSatisfied) as err:
+                call()
+            assert err.value.missing == REQUIRED_HYPOTHESES[study]

@@ -6,6 +6,8 @@ import pytest
 from anisolab.cli import main, run_config
 from anisolab.config import (ConfigError, emit_config, load_config,
                              parse_config, shipped_config_dir)
+from anisolab.linsolve import IndefiniteOperatorError, NonConvergenceError
+from anisolab.semigroup import StepperAccuracyError
 
 CONFIG_DIR = shipped_config_dir()
 
@@ -258,3 +260,67 @@ class TestCommandLine:
         assert code == 2
         lines = (tmp_path / "rate.csv").read_text().splitlines()
         assert all(line.endswith(",refused") for line in lines[1:])
+
+
+POSITIONED = """[problem]
+lambda = 1.0
+beta = zero
+[discretization]
+basis1 = sine
+basis2 = sine
+  quad_order = 4
+[study]
+kind = rate
+epsilon = 0.5
+epsilons = 0.5, 0.25
+"""
+
+
+class TestConfigErrorPositions:
+    @pytest.mark.parametrize("old,new,line,column,message", [
+        ("kind = rate", "kind = banana", 9, 1, "study kind"),
+        ("epsilon = 0.5", "epsilon = 1.5", 10, 1, "epsilon must lie"),
+        ("epsilons = 0.5, 0.25", "epsilons = 0.5, 0", 11, 1,
+         "epsilon must lie"),
+        ("beta = zero", "beta = cubic", 3, 1, "unknown reaction"),
+        ("basis1 = sine", "basis1 = legendre", 5, 1, "basis kinds"),
+        ("basis2 = sine", "basis2 = fourier", 6, 1, "basis kinds"),
+        ("  quad_order = 4", "  quad_order = 2", 7, 3, "quad_order must be"),
+        ("lambda = 1.0", "lambda = -1", 2, 1, "lambda must be positive"),
+    ])
+    def test_semantic_error_points_at_key(self, old, new, line, column,
+                                          message):
+        with pytest.raises(ConfigError, match=message) as err:
+            parse_config(POSITIONED.replace(old, new))
+        assert (err.value.line, err.value.column) == (line, column)
+
+
+class TestNumericalFailures:
+    # The real trigger (semigroup_identity.cfg with steps = 20000) marches
+    # for seconds, so the study is replaced by one that raises at once.
+    @pytest.mark.parametrize("exc,diagnostics", [
+        (StepperAccuracyError(65536, 32768), {"required_steps": 65536}),
+        (NonConvergenceError(None, 2.5e-3, 40),
+         {"iterations": 40, "residual_norm": 2.5e-3}),
+        (IndefiniteOperatorError(), {}),
+    ])
+    def test_failure_is_reported_with_exit_code_3(self, tmp_path, capsys,
+                                                  monkeypatch, exc,
+                                                  diagnostics):
+        import anisolab.semigroup
+
+        def failing(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(anisolab.semigroup, "semigroup_deviation_study",
+                            failing)
+        code = main(["run", "--config",
+                     str(CONFIG_DIR / "semigroup_identity.cfg"),
+                     "--out", str(tmp_path)])
+        assert code == 3
+        data = json.loads((tmp_path / "summary.json").read_text())
+        assert data["failures"] == [dict(
+            {"study": "semigroup", "error": type(exc).__name__,
+             "message": str(exc)}, **diagnostics)]
+        assert data["refusals"] == []
+        assert "failed: " in capsys.readouterr().err
