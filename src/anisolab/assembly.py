@@ -18,7 +18,7 @@ used depending on the structure of the coefficient:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "load_1d",
     "project",
     "project_1d",
+    "pencil_eigenbasis",
     "AssembledProblem",
     "assemble_system",
     "write_matrix_market",
@@ -274,6 +275,18 @@ def project(space: GalerkinSpace, fn):
     return sp.linalg.spsolve(M.tocsc(), assemble_load(space, fn))
 
 
+def pencil_eigenbasis(space: GalerkinSpace, direction: int):
+    """``(Q, lam)`` with ``Q^T M Q = I`` and ``Q^T S Q = diag(lam)`` for the 1D
+    mass ``M`` and stiffness ``S`` of one direction, from the family's
+    closed-form eigenvectors."""
+    family = space.basis1 if direction == 1 else space.basis2
+    V = family.pencil_vectors()
+    M = _matrix_1d(space, direction, 0, 0)
+    S = _matrix_1d(space, direction, direction, direction)
+    Q = V / np.sqrt(np.einsum("ij,ij->j", V, M @ V))
+    return Q, np.einsum("ij,ij->j", Q, S @ Q)
+
+
 @dataclass
 class AssembledProblem:
     """All matrices of one (space, coefficients) pair, plus an optional load."""
@@ -296,6 +309,24 @@ class AssembledProblem:
 
     def limit_stiffness(self) -> sp.csr_matrix:
         return self.K22
+
+    @cached_property
+    def eigenbasis(self):
+        """``(Q1, lam1, Q2, lam2)``: both 1D eigenbases, built once per system."""
+        return pencil_eigenbasis(self.space, 1) + pencil_eigenbasis(self.space, 2)
+
+    def tensor_preconditioner(self, e2: float, mu: float):
+        """Inverse of the identity-coefficient operator
+        ``e2 S1(x)M2 + M1(x)S2 + mu M1(x)M2`` as a callable, by fast
+        diagonalisation: ``(Q1(x)Q2) diag(1 / (e2 lam1_i + lam2_j + mu)) (Q1(x)Q2)^T``.
+        """
+        Q1, lam1, Q2, lam2 = self.eigenbasis
+        inv = 1.0 / (e2 * lam1[:, None] + lam2[None, :] + mu)
+        shape = (lam1.size, lam2.size)
+
+        def apply(r):
+            return (Q1 @ (inv * (Q1.T @ r.reshape(shape) @ Q2)) @ Q2.T).ravel()
+        return apply
 
     def norm(self, coeffs, which: str) -> float:
         G = {"l2": self.M, "x1": self.G1, "x2": self.G2,

@@ -27,7 +27,7 @@ from .elliptic import (ProblemSpec, apriori_check, export_solution_csv,
 from .expressions import parse_expression
 from .linsolve import IndefiniteOperatorError, NonConvergenceError
 from .reports import write_csv, write_summary
-from .semigroup import StepperAccuracyError
+from .semigroup import ContractionError, StepperAccuracyError
 
 __all__ = ["main", "run_config"]
 
@@ -46,7 +46,7 @@ _SUBCOMMAND_KINDS = {
 # Numerical failures that end a study with a ``failures`` entry and exit
 # code 3, and the diagnostics each may carry.
 _NUMERICAL_FAILURES = (StepperAccuracyError, NonConvergenceError,
-                       IndefiniteOperatorError)
+                       IndefiniteOperatorError, ContractionError)
 _FAILURE_DIAGNOSTICS = ("required_steps", "iterations", "residual_norm")
 
 

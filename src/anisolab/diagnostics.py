@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from .assembly import AssembledProblem, assemble_system, norm_matrices, project, _tables
 from .coefficients import (ConstantLedger, HypothesisNotSatisfied,
@@ -196,10 +197,9 @@ class CeaReport:
 
 def _best_approx_error(G_ref, u_ref_coeffs, E):
     """Error of the G-orthogonal projection of the reference onto range(E)."""
-    GE = G_ref @ E
-    gram = E.T @ GE
+    gram = (E.T @ (G_ref @ E)).tocsc()
     rhs = E.T @ (G_ref @ u_ref_coeffs)
-    c = np.linalg.solve(gram, rhs)
+    c = spla.spsolve(gram, rhs)
     d = u_ref_coeffs - E @ c
     return float(np.sqrt(max(d @ (G_ref @ d), 0.0)))
 
@@ -312,22 +312,22 @@ def ap_diagram(problem: ProblemSpec, epsilons: Sequence[float],
                          ref_system)
     G_ref = ref_system.G2
 
-    def err_against_ref(space, sol):
-        E = embedding_matrix(space, reference_space)
+    def err_against_ref(E, sol):
         d = u_ref.coeffs - E @ sol.coeffs
         return float(np.sqrt(max(d @ (G_ref @ d), 0.0)))
 
     systems = [assemble_system(s, problem.coefficients, problem.source)
                for s in spaces]
+    embeddings = [embedding_matrix(s, reference_space) for s in spaces]
     grid = np.zeros((len(epsilons), len(spaces)))
-    for j, (space, system) in enumerate(zip(spaces, systems)):
+    for j, (space, system, E) in enumerate(zip(spaces, systems, embeddings)):
         for i, eps in enumerate(epsilons):
             sol = solve_linear(problem.with_epsilon(eps), space, solver, system)
-            grid[i, j] = err_against_ref(space, sol)
+            grid[i, j] = err_against_ref(E, sol)
     col_trace = []
-    for space, system in zip(spaces, systems):
+    for space, system, E in zip(spaces, systems, embeddings):
         sol = solve_linear(problem.with_epsilon(LIMIT), space, solver, system)
-        col_trace.append(err_against_ref(space, sol))
+        col_trace.append(err_against_ref(E, sol))
     row_trace = list(grid[:, -1])
     gap = abs(row_trace[-1] - col_trace[-1])
     finest = max(row_trace[-1], col_trace[-1])

@@ -102,24 +102,34 @@ class GalerkinSolution:
         return self.space.evaluate(self.coeffs, x1, x2)
 
 
-def _system_matrix(problem: ProblemSpec, system: AssembledProblem):
+def _linear_system(problem: ProblemSpec, system: AssembledProblem):
+    """The problem's system matrix and its tensor preconditioner."""
     K = system.limit_stiffness() if problem.is_limit else system.stiffness(problem.epsilon)
+    e2 = 0.0 if problem.is_limit else problem.epsilon ** 2
+    mu = 0.0
     if problem.reaction.kind == "linear":
-        K = (K + problem.reaction.mu * system.M).tocsr()
-    return K
+        mu = problem.reaction.mu
+        K = (K + mu * system.M).tocsr()
+    return K, system.tensor_preconditioner(e2, mu)
 
 
 def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
                  solver: Optional[SolverConfig] = None,
                  system: Optional[AssembledProblem] = None) -> GalerkinSolution:
-    """Solve the linear problem (zero or linear reaction) on the space."""
+    """Solve the linear problem (zero or linear reaction) on the space.
+
+    CG is preconditioned by the identity-coefficient operator of the same
+    epsilon and reaction (:meth:`AssembledProblem.tensor_preconditioner`), so
+    its condition number is bounded independently of epsilon and the mesh
+    size: by ``sup_matrix / lam`` without a reaction.
+    """
     if problem.reaction.kind == "custom":
         raise ValueError("custom reactions require solve_semilinear")
     if system is None:
         system = assemble_system(space, problem.coefficients, problem.source)
     F = system.F if system.F is not None else np.zeros(space.dim)
-    K = _system_matrix(problem, system)
-    result = solve(K, F, solver)
+    K, precond = _linear_system(problem, system)
+    result = solve(K, F, solver, precond=precond)
     norm_f = np.linalg.norm(F)
     rel = result.residual_norm / norm_f if norm_f else 0.0
     if rel > GALERKIN_RESIDUAL_TOL:

@@ -1,6 +1,6 @@
-"""Sparse symmetric positive-definite solves: CG with optional Jacobi
-preconditioning, a dense Cholesky fallback, and an automatic LU route for
-matrices that fail the symmetry check.
+"""Sparse symmetric positive-definite solves: CG with a caller-supplied,
+Jacobi or no preconditioner, a dense Cholesky fallback, and an automatic LU
+route for matrices that fail the symmetry check.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ DENSE_LIMIT = 4000
 @dataclass(frozen=True)
 class SolverConfig:
     method: str = "cg"  # "cg" | "dense"
-    preconditioner: str = "jacobi"  # "none" | "jacobi"
+    preconditioner: str = "jacobi"  # "none" | "jacobi"; unless solve gets precond
     rel_tol: float = 1e-10
     max_iter: Optional[int] = None  # default 20 * n
 
@@ -110,11 +110,14 @@ def _cg(K, b, x0, rel_tol, max_iter, precond, callback):
 
 
 def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
-          callback: Optional[Callable] = None) -> SolveResult:
+          callback: Optional[Callable] = None,
+          precond: Optional[Callable] = None) -> SolveResult:
     """Solve ``K x = rhs``; deterministic given the configuration.
 
     Returns the solution, the true residual norm, and the iteration count
     (0 for direct methods).  Nonsymmetric inputs are routed to sparse LU.
+    ``precond``, an SPD map ``r -> P^-1 r``, replaces the preconditioner
+    named in ``cfg`` for CG.
     """
     cfg = cfg or SolverConfig()
     b = np.asarray(rhs, dtype=float)
@@ -139,16 +142,17 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
         return SolveResult(x, float(np.linalg.norm(b - dense @ x)), 0)
 
     max_iter = cfg.max_iter if cfg.max_iter is not None else 20 * n
-    if cfg.preconditioner == "jacobi":
+    if precond is None and cfg.preconditioner == "none":
+        def precond(r):
+            return r
+    else:
         diag = Ks.diagonal()
         if np.any(diag <= 0):
             raise IndefiniteOperatorError()
-        inv = 1.0 / diag
+        if precond is None:
+            inv = 1.0 / diag
 
-        def precond(r):
-            return inv * r
-    else:
-        def precond(r):
-            return r
+            def precond(r):
+                return inv * r
 
     return _cg(Ks, b, x0, cfg.rel_tol, max_iter, precond, callback)

@@ -41,6 +41,7 @@ __all__ = [
     "SemigroupDeviationStudy",
     "semigroup_deviation_study",
     "StepperAccuracyError",
+    "ContractionError",
     "TensorOracleReport",
     "tensor_semigroup_oracle_check",
     "ParabolicReport",
@@ -56,6 +57,10 @@ class StepperAccuracyError(RuntimeError):
             f"stepper error not subdominant within {budget} steps; "
             f"an estimated {required_steps} steps would be needed")
         self.required_steps = required_steps
+
+
+class ContractionError(RuntimeError):
+    """A step or resolvent solve increased the M-norm beyond round-off."""
 
 
 @dataclass
@@ -205,7 +210,7 @@ def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
         u = step(u, k)
         norms[k + 1] = gen.m_norm(u)
         if cfg.source is None and norms[k + 1] > norms[k] * (1.0 + slack):
-            raise RuntimeError(
+            raise ContractionError(
                 f"contraction violated at step {k + 1}: "
                 f"{norms[k + 1]:.16e} > {norms[k]:.16e}")
         if (k + 1) in keep:
@@ -222,7 +227,7 @@ def resolvent_apply(gen: DiscreteGenerator, mu: float, f) -> np.ndarray:
     nf = gen.m_norm(f)
     nu = gen.m_norm(u)
     if nu > nf / mu * (1.0 + 1e-10) + 1e-14:
-        raise RuntimeError(
+        raise ContractionError(
             f"resolvent contraction violated: ||u|| = {nu:.16e} > "
             f"||f||/mu = {nf / mu:.16e}")
     return u

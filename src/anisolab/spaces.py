@@ -156,6 +156,11 @@ class BasisFamily1D:
         """Matrix ``E`` of shape ``(fine.dim, dim)`` with ``phi_k = sum_l E[l,k] psi_l``."""
         raise NotImplementedError
 
+    def pencil_vectors(self):
+        """Closed-form eigenvectors (unnormalised columns) of the 1D pencil of
+        stiffness ``int u' v'`` and mass ``int u v``, at any quadrature order."""
+        raise NotImplementedError
+
 
 class Q1Basis(BasisFamily1D):
     """Interior hat functions on a uniform mesh with ``m`` subintervals."""
@@ -221,6 +226,12 @@ class Q1Basis(BasisFamily1D):
         V, _ = self.eval_table(fine.nodes())
         return V
 
+    def pencil_vectors(self):
+        # Both matrices are symmetric tridiagonal Toeplitz on the uniform
+        # mesh, and the discrete sine vectors diagonalise every such matrix.
+        k = np.arange(1, self.m)
+        return np.sin(np.outer(k, k) * (math.pi / self.m))
+
 
 class SineBasis(BasisFamily1D):
     """First ``m`` sine modes on the interval, orthonormal in L2."""
@@ -279,6 +290,10 @@ class SineBasis(BasisFamily1D):
         E = np.zeros((fine.dim, self.dim))
         E[: self.dim, : self.dim] = np.eye(self.dim)
         return E
+
+    def pencil_vectors(self):
+        # the modes are the eigenfunctions themselves
+        return np.eye(self.dim)
 
 
 _FAMILIES = {"q1": Q1Basis, "sine": SineBasis}
@@ -378,7 +393,7 @@ def eval_basis(space: GalerkinSpace, flat_index: int, point):
 
 
 def embedding_matrix(coarse: GalerkinSpace, fine: GalerkinSpace):
-    """Dense matrix mapping coarse coefficients to fine coefficients.
+    """Sparse (CSR) matrix mapping coarse coefficients to fine coefficients.
 
     Requires both directions to be nested; the result ``E`` satisfies
     ``u_coarse(x) == (E @ c)`` interpreted in the fine space.
@@ -387,4 +402,7 @@ def embedding_matrix(coarse: GalerkinSpace, fine: GalerkinSpace):
         raise ValueError("spaces live on different domains")
     E1 = coarse.basis1.embedding_into(fine.basis1)
     E2 = coarse.basis2.embedding_into(fine.basis2)
-    return np.kron(E1, E2)
+    # Imported here, not at module load: importing scipy.sparse ahead of the
+    # rest of the package made ``import anisolab`` about 20 ms slower.
+    import scipy.sparse as sp
+    return sp.kron(sp.csr_matrix(E1), sp.csr_matrix(E2), format="csr")

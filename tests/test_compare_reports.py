@@ -1,0 +1,34 @@
+"""The report classifier of ``tools/compare_reports.py``."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+_SPEC = importlib.util.spec_from_file_location("compare_reports", _PATH)
+compare_reports = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_reports)
+
+
+@pytest.mark.parametrize("old,new,verdict,largest", [
+    (b"a,1.5e-3\n", b"a,1.5e-3\n", "identical", 0.0),
+    (b"e,2.0e+00,x1\n", b"e,2.0000000000002e+00,x1\n", "numeric-only", 1e-13),
+    (b'{"v": 1e-20}', b'{"v": 3e-20}', "numeric-only", 2e-20),
+    (b'{"v": NaN}', b'{"v": 0.5}', "numeric-only", math.inf),
+    (b"verdict,true\n", b"verdict,false\n", "text differs", None),
+    (b"a,1\n", b"a,1,2\n", "text differs", None),
+    (b"a,1.0\n", b"a,1.00\n", "text differs", None),
+])
+def test_classify(old, new, verdict, largest):
+    got, change = compare_reports.classify(old, new)
+    assert got == verdict
+    if largest is not None:
+        assert change == pytest.approx(largest, rel=1e-3)
+
+
+def test_words_holding_nan_or_inf_are_text():
+    text, numbers = compare_reports.split_numbers(b"info,finance,nan,inf,a12")
+    assert text == b"info,finance,#,#,a#"
+    assert numbers == [b"nan", b"inf", b"12"]

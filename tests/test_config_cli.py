@@ -7,7 +7,7 @@ from anisolab.cli import main, run_config
 from anisolab.config import (ConfigError, emit_config, load_config,
                              parse_config, shipped_config_dir)
 from anisolab.linsolve import IndefiniteOperatorError, NonConvergenceError
-from anisolab.semigroup import StepperAccuracyError
+from anisolab.semigroup import ContractionError, StepperAccuracyError
 
 CONFIG_DIR = shipped_config_dir()
 
@@ -303,6 +303,7 @@ class TestNumericalFailures:
         (NonConvergenceError(None, 2.5e-3, 40),
          {"iterations": 40, "residual_norm": 2.5e-3}),
         (IndefiniteOperatorError(), {}),
+        (ContractionError("contraction violated at step 7: 2 > 1"), {}),
     ])
     def test_failure_is_reported_with_exit_code_3(self, tmp_path, capsys,
                                                   monkeypatch, exc,

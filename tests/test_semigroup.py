@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anisolab.coefficients import CoefficientField
 from anisolab.elliptic import LIMIT
-from anisolab.semigroup import (EvolutionConfig, StepperAccuracyError,
+from anisolab.semigroup import (ContractionError, DiscreteGenerator,
+                                EvolutionConfig, StepperAccuracyError,
                                 build_generator, evolve,
                                 parabolic_convergence, resolvent_apply,
                                 resolvent_deviation, semigroup_deviation_study,
@@ -262,3 +264,20 @@ class TestParabolic:
         with pytest.raises(ValueError, match="backward Euler"):
             EvolutionConfig(T=1.0, stepper="cn", steps=8,
                             source=lambda t: None)
+
+
+class TestContractionError:
+    # An antidissipative generator (K = -M/2) grows every state, so both
+    # contraction checks must fire with the error the CLI reports.
+    @pytest.fixture
+    def growing(self, sine8):
+        M = sp.identity(sine8.dim, format="csr")
+        return DiscreteGenerator(M, (-0.5 * M).tocsr(), "limit")
+
+    def test_evolve_raises(self, sine8, growing):
+        with pytest.raises(ContractionError, match="step 1"):
+            evolve(growing, first_mode(sine8), EvolutionConfig(T=0.5, steps=4))
+
+    def test_resolvent_raises(self, sine8, growing):
+        with pytest.raises(ContractionError, match="resolvent"):
+            resolvent_apply(growing, 1.0, first_mode(sine8))
