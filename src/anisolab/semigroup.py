@@ -2,9 +2,11 @@
 approximation of the flow, contraction time stepping, and the deviation
 studies between the perturbed and limit evolutions.
 
-The flow itself is never exponentiated: backward Euler and Crank-Nicolson
-need one prefactorized solve per step, and the bounded-operator route
-integrates ``u' = mu^2 R_mu u - mu u`` with classical RK4.  Deviation studies
+The flow itself is never exponentiated: each march builds the linear map of
+one backward Euler, Crank-Nicolson or bounded-operator RK4 step (for
+``u' = mu^2 R_mu u - mu u``) once and applies it once per step, as a dense
+propagator while the space is small next to the stored entries of the step's
+system matrix, else through one ``splu`` factorisation.  Deviation studies
 evolve both generators with the same stepper and step count so the stepper
 bias cancels to first order, and certify the remainder by step doubling.
 """
@@ -25,7 +27,6 @@ from .coefficients import (CoefficientField, HypothesisNotSatisfied, SourceField
                            missing_hypotheses)
 from .diagnostics import fit_slope
 from .elliptic import LIMIT
-from .parallel import parallel_map
 from .spaces import BasisFamily1D, GalerkinSpace
 
 __all__ = [
@@ -145,6 +146,18 @@ class Trajectory:
 
 
 _CONTRACTION_SLACK = {"be": 1e-12, "cn": 1e-10, "yosida": 1e-10}
+# A march applies a dense propagator while n^2 <= _DENSE_STEP_RATIO * nnz(A),
+# A the step's system matrix; above that it back-solves through splu.
+# tools/step_crossover.py measures the crossover.
+_DENSE_STEP_RATIO = 40.0
+# Entries of the block of states whose M-norms are taken at once.
+_NORM_BLOCK_ENTRIES = 1 << 18
+
+
+def _m_norms(M, states) -> np.ndarray:
+    """M-norm of every row of ``states``."""
+    return np.sqrt(np.maximum(
+        np.einsum("ki,ki->k", states, (M @ states.T).T), 0.0))
 
 
 def _sample_indices(cfg: EvolutionConfig, tau: float):
@@ -157,65 +170,106 @@ def _sample_indices(cfg: EvolutionConfig, tau: float):
     return np.asarray(idx, dtype=int)
 
 
+def _rk4(L, u, tau: float):
+    """One classical RK4 step of ``u' = L u``."""
+    k1 = L(u)
+    k2 = L(u + 0.5 * tau * k1)
+    k3 = L(u + 0.5 * tau * k2)
+    k4 = L(u + tau * k3)
+    return u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float):
+    """``(step, M)``: ``step(u, k)`` is the state after step ``k + 1`` from
+    the state ``u`` before it, and ``M`` the mass matrix to take M-norms with
+    (dense on the dense route, where a dense product is faster).
+
+    With ``A`` the system matrix of the step and ``B`` its right-hand side
+    operator, the step applies ``A^{-1} B`` (composed into RK4 for the
+    bounded-operator route), plus ``tau A^{-1} F`` for a backward Euler
+    source.  Only how these are applied depends on the size: as dense
+    matrices formed once, or by ``splu`` back-solves and sparse products.
+    """
+    mu = cfg.yosida_mu
+    if cfg.stepper == "be":
+        A, B = gen.M + tau * gen.K, gen.M
+    elif cfg.stepper == "cn":
+        A, B = gen.M + 0.5 * tau * gen.K, gen.M - 0.5 * tau * gen.K
+    else:
+        A, B = mu * gen.M + gen.K, gen.M
+    A = sp.csc_matrix(A)
+    n = A.shape[0]
+    if n * n <= _DENSE_STEP_RATIO * A.nnz:
+        A = A.toarray()
+        P = np.linalg.solve(A, B.toarray())
+        if cfg.stepper == "yosida":
+            L = mu * mu * P - mu * np.eye(n)
+            P = _rk4(L.__matmul__, np.eye(n), tau)
+        apply = P.dot
+        solve = np.linalg.inv(A).dot if cfg.source is not None else None
+        M = gen.M.toarray()
+    else:
+        lu = spla.splu(A)
+        B = B.tocsr()
+
+        def apply(u):
+            return lu.solve(B @ u)
+        if cfg.stepper == "yosida":
+            resolve = apply
+
+            def apply(u):
+                return _rk4(lambda v: mu * mu * resolve(v) - mu * v, u, tau)
+        solve = lu.solve
+        M = gen.M
+    if cfg.source is None:
+        return (lambda u, k: apply(u)), M
+
+    def step(u, k):
+        load = np.asarray(cfg.source((k + 1) * tau), dtype=float)
+        return apply(u) + solve(tau * load)
+    return step, M
+
+
 def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
     """March the contraction flow from initial state ``g``.
 
     Backward Euler solves ``(M + tau K) u+ = M u (+ tau F)``; Crank-Nicolson
     solves ``(M + tau K / 2) u+ = (M - tau K / 2) u``; the bounded-operator
-    route applies classical RK4 to ``u' = mu^2 R_mu u - mu u``.
+    route applies classical RK4 to ``u' = mu^2 R_mu u - mu u``.  The step's
+    linear map is built once per call: a dense propagator, one mat-vec per
+    step, while ``n^2 <= _DENSE_STEP_RATIO * nnz`` of the step's system
+    matrix, and one ``splu`` factorisation with a back-solve per step (four
+    for RK4) above it.  The M-norms are taken blockwise after the steps of
+    each block, and :class:`ContractionError` names the first step that
+    grew the norm.  Only the sampled states are kept.
     """
     u = np.array(g, dtype=float)
     if cfg.T == 0:
         return Trajectory(np.array([0.0]), u[None, :].copy(), np.array([gen.m_norm(u)]))
     tau = cfg.T / cfg.steps
-    M = gen.M.tocsc()
     sample = _sample_indices(cfg, tau)
-    keep = {int(i) for i in sample}
-    states = []
-    norms = np.empty(cfg.steps + 1)
-    norms[0] = gen.m_norm(u)
-    if 0 in keep:
-        states.append(u.copy())
-
-    if cfg.stepper == "be":
-        lu = spla.splu((gen.M + tau * gen.K).tocsc())
-
-        def step(u, k):
-            rhs = M @ u
-            if cfg.source is not None:
-                rhs = rhs + tau * np.asarray(cfg.source((k + 1) * tau), dtype=float)
-            return lu.solve(rhs)
-    elif cfg.stepper == "cn":
-        lu = spla.splu((gen.M + 0.5 * tau * gen.K).tocsc())
-        B = (gen.M - 0.5 * tau * gen.K).tocsr()
-
-        def step(u, k):
-            return lu.solve(B @ u)
-    else:
-        mu = cfg.yosida_mu
-        lu = spla.splu((mu * gen.M + gen.K).tocsc())
-
-        def apply_bounded(v):
-            return mu * mu * lu.solve(M @ v) - mu * v
-
-        def step(u, k):
-            k1 = apply_bounded(u)
-            k2 = apply_bounded(u + 0.5 * tau * k1)
-            k3 = apply_bounded(u + 0.5 * tau * k2)
-            k4 = apply_bounded(u + tau * k3)
-            return u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
+    step, M = _step_map(gen, cfg, tau)
     slack = _CONTRACTION_SLACK[cfg.stepper]
-    for k in range(cfg.steps):
-        u = step(u, k)
-        norms[k + 1] = gen.m_norm(u)
-        if cfg.source is None and norms[k + 1] > norms[k] * (1.0 + slack):
+    states = np.empty((len(sample), u.size))
+    norms = np.empty(cfg.steps + 1)
+    rows = max(1, min(cfg.steps + 1, _NORM_BLOCK_ENTRIES // u.size))
+    block = np.empty((rows, u.size))
+    block[0] = u
+    for first in range(0, cfg.steps + 1, rows):
+        last = min(first + rows, cfg.steps + 1)  # block holds states first..last-1
+        for k in range(max(first, 1), last):
+            u = block[k - first] = step(u, k - 1)
+        norms[first:last] = _m_norms(M, block[: last - first])
+        lo = max(first, 1)
+        grew = norms[lo:last] > norms[lo - 1:last - 1] * (1.0 + slack)
+        if cfg.source is None and grew.any():
+            k = lo + int(np.argmax(grew))
             raise ContractionError(
-                f"contraction violated at step {k + 1}: "
-                f"{norms[k + 1]:.16e} > {norms[k]:.16e}")
-        if (k + 1) in keep:
-            states.append(u.copy())
-    return Trajectory(sample * tau, np.asarray(states), norms)
+                f"contraction violated at step {k}: "
+                f"{norms[k]:.16e} > {norms[k - 1]:.16e}")
+        a, b = np.searchsorted(sample, [first, last])
+        states[a:b] = block[sample[a:b] - first]
+    return Trajectory(sample * tau, states, norms)
 
 
 def resolvent_apply(gen: DiscreteGenerator, mu: float, f) -> np.ndarray:
@@ -259,13 +313,11 @@ def resolvent_deviation(space: GalerkinSpace, A: CoefficientField,
     gen0 = build_generator(space, A, LIMIT, system)
     u0 = spla.spsolve((mu * gen0.M + gen0.K).tocsc(), F)
 
-    def one(eps):
+    deviations = []
+    for eps in epsilons:
         gen = build_generator(space, A, eps, system)
         u = spla.spsolve((mu * gen.M + gen.K).tocsc(), F)
-        d = u - u0
-        return float(np.sqrt(max(d @ (system.M @ d), 0.0)))
-
-    deviations = parallel_map(one, list(epsilons))
+        deviations.append(gen0.m_norm(u - u0))
     return ResolventDeviationStudy(list(epsilons), deviations,
                                    fit_slope(epsilons, deviations))
 
@@ -287,9 +339,7 @@ def _lockstep_deviation(traj_eps: Trajectory, traj_0: Trajectory, M,
 
     Returns (sup over [0,T], sup over [0,2T], trace of (t, deviation)).
     """
-    diffs = traj_eps.states - traj_0.states
-    devs = np.sqrt(np.maximum(
-        np.einsum("ki,ki->k", diffs, (M @ diffs.T).T), 0.0))
+    devs = _m_norms(M, traj_eps.states - traj_0.states)
     sup_T = float(devs[: steps + 1].max())
     sup_2T = float(devs.max())
     return sup_T, sup_2T, traj_eps.times, devs
@@ -352,9 +402,9 @@ def semigroup_deviation_study(space: GalerkinSpace, A: CoefficientField,
     while active:
         # Every epsilon still doubling compares against the same limit march.
         traj_0 = _march_doubled(gen0, g, T, m, stepper, yosida_mu)
-        sups = parallel_map(lambda i: _lockstep_deviation(
+        sups = [_lockstep_deviation(
             _march_doubled(gens[i], g, T, m, stepper, yosida_mu),
-            traj_0, gen0.M, m), active)
+            traj_0, gen0.M, m) for i in active]
         still = []
         for i, (sup_T, sup_2T, times, devs) in zip(active, sups):
             if i in prev:
@@ -480,7 +530,6 @@ def parabolic_convergence(space: GalerkinSpace, A: CoefficientField,
         gap = gen0.m_norm(u0 - u0_limit)
         gen = build_generator(space, A, eps, system)
         traj = evolve(gen, u0, cfg)
-        diffs = traj.states - traj0.states
-        sup = max(float(np.sqrt(max(d @ (system.M @ d), 0.0))) for d in diffs)
+        sup = float(_m_norms(system.M, traj.states - traj0.states).max())
         rows.append(ParabolicRow(eps, gap, sup))
     return ParabolicReport(rows, tol)
