@@ -13,6 +13,10 @@ used depending on the structure of the coefficient:
   per-element assembly;
 * everything else goes through a dense tensor contraction over the
   quadrature grid (natural for sine bases, whose matrices are dense anyway).
+
+Coefficients and sources are evaluated on the tensor quadrature grid along
+its axes (``coefficients.grid_values``), so a factor of one variable is
+computed once per point of its own axis.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .coefficients import CoefficientField, ScalarField, SourceField, as_field, scale_matrix
+from .coefficients import (CoefficientField, ScalarField, SourceField, as_field,
+                           grid_values, scale_matrix)
 from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis, gauss_rule
 
 __all__ = [
@@ -164,10 +169,7 @@ def _q1_element_path(space, coef_values, test_sel: int, trial_sel: int):
 
 
 def _coef_on_grid(space, coef: ScalarField):
-    p1 = space._quad1[0]
-    p2 = space._quad2[0]
-    X1, X2 = np.meshgrid(p1, p2, indexing="ij")
-    vals = np.asarray(coef(X1, X2), dtype=float)
+    vals = grid_values(coef, space._quad1[0], space._quad2[0])
     if not np.all(np.isfinite(vals)):
         raise ValueError("coefficient produced non-finite values on the quadrature grid")
     return vals

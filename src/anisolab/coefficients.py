@@ -22,6 +22,7 @@ from .spaces import TensorDomain, gauss_rule
 __all__ = [
     "ScalarField",
     "as_field",
+    "grid_values",
     "CoefficientField",
     "ReactionSpec",
     "SourceField",
@@ -75,7 +76,8 @@ class ScalarField:
 
     ``deps`` records which variables the value actually depends on; assembly
     uses it to pick factorized Kronecker paths for constant or single-variable
-    coefficients.
+    coefficients.  ``fn`` must be elementwise and broadcast: tensor grids
+    call it with the axis arrays ``x1[:, None]`` and ``x2[None, :]``.
     """
 
     def __init__(self, fn: Callable, deps, dx1: Optional["ScalarField"] = None,
@@ -109,7 +111,12 @@ class ScalarField:
 
 
 def as_field(value, dx1=None, dx2=None, label="") -> ScalarField:
-    """Coerce a constant, ``Expression``, callable, or field into a ScalarField."""
+    """Coerce a constant, ``Expression``, callable, or field into a ScalarField.
+
+    A callable is called with arrays that broadcast against each other, such
+    as the axis arrays of a tensor grid (see :func:`grid_values`), and must
+    broadcast likewise.
+    """
     if isinstance(value, ScalarField):
         return value
     if isinstance(value, Expression):
@@ -131,16 +138,32 @@ def as_field(value, dx1=None, dx2=None, label="") -> ScalarField:
     raise TypeError(f"cannot interpret {value!r} as a scalar field")
 
 
-def _sample_grid(domain: TensorDomain, n: int):
-    x1 = np.linspace(domain.omega1[0], domain.omega1[1], n)
-    x2 = np.linspace(domain.omega2[0], domain.omega2[1], n)
-    return np.meshgrid(x1, x2, indexing="ij")
+def grid_values(fn, x1, x2) -> np.ndarray:
+    """``fn`` on the tensor grid of the 1D point sets ``x1`` and ``x2``.
+
+    ``fn`` is called once with the axes ``x1[:, None]`` and ``x2[None, :]``,
+    so a subexpression of one variable runs on that axis only; the result is
+    a read-only ``(x1.size, x2.size)`` broadcast view.  For an elementwise
+    ``fn`` every value equals the one at the same point of the ``meshgrid``
+    evaluation.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    values = np.asarray(fn(x1[:, None], x2[None, :]), dtype=float)
+    return np.broadcast_to(values, (x1.size, x2.size))
+
+
+def _sample_axes(domain: TensorDomain, n: int):
+    return (np.linspace(domain.omega1[0], domain.omega1[1], n),
+            np.linspace(domain.omega2[0], domain.omega2[1], n))
 
 
 def integrate_on_domain(domain: TensorDomain, fn, panels: int = 64, order: int = 4):
     """Composite Gauss integral of ``fn(x1, x2)`` over the rectangle.
 
     Independent of any Galerkin space quadrature; used for reference norms.
+    ``fn`` is evaluated along the axes of the Gauss grid (see
+    :func:`grid_values`), so it must broadcast its two arguments.
     """
     xg, wg = gauss_rule(order)
 
@@ -152,9 +175,9 @@ def integrate_on_domain(domain: TensorDomain, fn, panels: int = 64, order: int =
 
     p1, w1 = rule(*domain.omega1)
     p2, w2 = rule(*domain.omega2)
-    X1, X2 = np.meshgrid(p1, p2, indexing="ij")
-    vals = np.asarray(fn(X1, X2), dtype=float)
-    return float(w1 @ vals @ w2)
+    # a zero-stride view would take numpy's non-BLAS matmul loop, whose sums
+    # round differently from the dense product
+    return float(w1 @ np.ascontiguousarray(grid_values(fn, p1, p2)) @ w2)
 
 
 def l2_norm_on_domain(domain: TensorDomain, fn, panels: int = 64, order: int = 4):
@@ -192,8 +215,8 @@ class CoefficientField:
     def validate(self, domain: TensorDomain, grid: int = 33, xi_samples: int = 8,
                  seed: int = 0, tol: float = 1e-10):
         """Spot-check ellipticity, boundedness, and the a22 structure flag."""
-        X1, X2 = _sample_grid(domain, grid)
-        vals = [a(X1, X2) for a in self.entries()]
+        x1, x2 = _sample_axes(domain, grid)
+        vals = [grid_values(a, x1, x2) for a in self.entries()]
         for name, v in zip(("a11", "a12", "a21", "a22"), vals):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"coefficient {name} is not finite on the domain")
@@ -389,8 +412,8 @@ class ConstantLedger:
         return True
 
 
-def _sup_abs(field: ScalarField, X1, X2) -> float:
-    return float(np.max(np.abs(field(X1, X2))))
+def _sup_abs(values) -> float:
+    return float(np.max(np.abs(values)))
 
 
 def compute_constants(A: CoefficientField, domain: TensorDomain,
@@ -404,13 +427,9 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     the relevant variable.
     """
     lam = A.lam
-    X1, X2 = _sample_grid(domain, grid)
-    sup_a11 = _sup_abs(A.a11, X1, X2)
-    sup_a12 = _sup_abs(A.a12, X1, X2)
-    sup_a21 = _sup_abs(A.a21, X1, X2)
-    sup_a22 = _sup_abs(A.a22, X1, X2)
-
-    vals = [a(X1, X2) for a in A.entries()]
+    x1, x2 = _sample_axes(domain, grid)
+    vals = [grid_values(a, x1, x2) for a in A.entries()]
+    sup_a11, sup_a12, sup_a21, sup_a22 = map(_sup_abs, vals)
     # pointwise spectral norm of a 2x2 matrix via its singular values
     sq = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
     det = vals[0] * vals[3] - vals[1] * vals[2]
@@ -421,7 +440,7 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
         declared = getattr(A.a12, which)
         var = "x1" if which == "dx1" else "x2"
         if declared is not None:
-            return _sup_abs(as_field(declared), X1, X2)
+            return _sup_abs(grid_values(as_field(declared), x1, x2))
         if var not in A.a12.deps:
             return 0.0
         raise ValueError(

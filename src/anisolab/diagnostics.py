@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import AssembledProblem, assemble_system, norm_matrices, project, _tables
-from .coefficients import (ConstantLedger, HypothesisNotSatisfied,
+from .coefficients import (ConstantLedger, HypothesisNotSatisfied, grid_values,
                            missing_hypotheses)
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, solve_linear,
                        solve_semilinear)
@@ -65,7 +65,8 @@ def errors_vs_function(space: GalerkinSpace, coeffs, u_fn, du1_fn, du2_fn):
     """Quadrature seminorm/norm triple of ``u_h - u`` for a closed-form ``u``.
 
     Needed when the reference does not belong to the space (manufactured
-    solutions, counterexample studies).
+    solutions, counterexample studies).  The three functions are evaluated
+    along the axes of the quadrature grid, so they must broadcast.
     """
     _, w1, V1, D1 = _tables(space, 1)
     _, w2, V2, D2 = _tables(space, 2)
@@ -73,14 +74,13 @@ def errors_vs_function(space: GalerkinSpace, coeffs, u_fn, du1_fn, du2_fn):
                                                 space.basis2.dim)
     p1 = space._quad1[0]
     p2 = space._quad2[0]
-    X1, X2 = np.meshgrid(p1, p2, indexing="ij")
 
     def quad_norm(diff):
         return float(np.sqrt(max(w1 @ (diff ** 2) @ w2, 0.0)))
 
-    e_x1 = quad_norm(D1 @ U @ V2.T - np.asarray(du1_fn(X1, X2), dtype=float))
-    e_x2 = quad_norm(V1 @ U @ D2.T - np.asarray(du2_fn(X1, X2), dtype=float))
-    e_l2 = quad_norm(V1 @ U @ V2.T - np.asarray(u_fn(X1, X2), dtype=float))
+    e_x1 = quad_norm(D1 @ U @ V2.T - grid_values(du1_fn, p1, p2))
+    e_x2 = quad_norm(V1 @ U @ D2.T - grid_values(du2_fn, p1, p2))
+    e_l2 = quad_norm(V1 @ U @ V2.T - grid_values(u_fn, p1, p2))
     return e_x1, e_x2, e_l2
 
 
@@ -449,7 +449,5 @@ def grad1_functional(space: GalerkinSpace, coeffs, phi):
     _, w2, V2, _ = _tables(space, 2)
     U = np.asarray(coeffs, dtype=float).reshape(space.basis1.dim, space.basis2.dim)
     dvals = D1 @ U @ V2.T
-    p1 = space._quad1[0]
-    p2 = space._quad2[0]
-    X1, X2 = np.meshgrid(p1, p2, indexing="ij")
-    return float(w1 @ (dvals * np.asarray(phi(X1, X2), dtype=float)) @ w2)
+    phi_vals = grid_values(phi, space._quad1[0], space._quad2[0])
+    return float(w1 @ (dvals * phi_vals) @ w2)

@@ -69,6 +69,13 @@ class IndefiniteOperatorError(RuntimeError):
 
 
 def _is_symmetric(K, tol=1e-12):
+    """``max|K - K^T| <= tol * max|K|``.
+
+    A sparse matrix storing at least half of its entries is checked on its
+    dense view: same maxima, without the sparse transpose and difference.
+    """
+    if sp.issparse(K) and 2 * K.nnz >= K.shape[0] * K.shape[1]:
+        K = K.toarray()
     d = K - K.T
     scale = max(abs(K).max() if sp.issparse(K) else np.max(np.abs(K)), 1e-300)
     gap = abs(d).max() if sp.issparse(d) else np.max(np.abs(d))

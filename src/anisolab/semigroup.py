@@ -13,6 +13,7 @@ bias cancels to first order, and certify the remainder by step doubling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -516,10 +517,14 @@ def parabolic_convergence(space: GalerkinSpace, A: CoefficientField,
 
     ``u0_of_eps`` maps epsilon to an initial coefficient vector; the same
     source (if any) drives both evolutions through the backward Euler
-    inhomogeneous form.  Epsilons must be given in decreasing order.
+    inhomogeneous form.  ``source_loads`` is called once per step time, and
+    the limit march and every epsilon share its loads.  Epsilons must be
+    given in decreasing order.
     """
     if system is None:
         system = assemble_system(space, A)
+    if source_loads is not None:
+        source_loads = functools.lru_cache(maxsize=None)(source_loads)
     u0_limit = np.asarray(u0_limit, dtype=float)
     gen0 = build_generator(space, A, LIMIT, system)
     cfg = EvolutionConfig(T=T, stepper=stepper, steps=steps, source=source_loads)

@@ -6,10 +6,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisolab.coefficients import (CoefficientField, ReactionSpec, as_field,
-                                   compute_constants, integrate_on_domain,
-                                   scale_matrix)
+                                   compute_constants, grid_values,
+                                   integrate_on_domain, scale_matrix)
+from anisolab.expressions import parse_expression
 
 PI = math.pi
+
+# Expression sources of the config grammar: literals, pi, x1, x2, unary
+# minus, + - * /, sin, cos and exp.
+_LEAVES = st.one_of(
+    st.floats(min_value=0.0, max_value=10.0).map(repr),
+    st.sampled_from(["pi", "x1", "x2"]),
+)
+_EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        inner.map(lambda a: f"-{a}"),
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+    ),
+    max_leaves=12,
+)
+_AXIS = st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=20)
+
+
+def _meshgrid_values(fn, x1, x2):
+    X1, X2 = np.meshgrid(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
+                         indexing="ij")
+    return np.broadcast_to(np.asarray(fn(X1, X2), dtype=float), X1.shape)
 
 
 class TestScaleMatrix:
@@ -98,6 +124,81 @@ class TestComputeConstants:
         assert led.validate()
         for name in ("cea_limit", "cea_perturbed"):
             assert getattr(led, name) > 0
+
+    def test_each_field_evaluated_once(self, dom):
+        calls = []
+
+        def counted(name, fn):
+            def wrapped(x1, x2):
+                calls.append(name)
+                return fn(x1, x2)
+            return wrapped
+
+        coupling = counted("a12", lambda x1, x2: 0.2 * np.sin(x1) * np.sin(x2))
+        A = CoefficientField(
+            counted("a11", lambda x1, x2: np.ones_like(x1)),
+            as_field(coupling,
+                     dx1=counted("a12_dx1", lambda x1, x2: 0.2 * np.cos(x1) * np.sin(x2)),
+                     dx2=counted("a12_dx2", lambda x1, x2: 0.2 * np.sin(x1) * np.cos(x2))),
+            counted("a21", lambda x1, x2: 0.2 * np.sin(x1) * np.sin(x2)),
+            counted("a22", lambda x1, x2: np.ones_like(x2)),
+            lam=0.8)
+        led = compute_constants(A, dom, grid=65)
+        assert sorted(calls) == ["a11", "a12", "a12_dx1", "a12_dx2", "a21", "a22"]
+        assert led.sup_a12 == pytest.approx(0.2, abs=1e-12)
+        assert led.sup_matrix == pytest.approx(1.2, abs=1e-12)
+
+
+class TestGridValues:
+    """Evaluation along the axes of a tensor grid equals the meshgrid
+    evaluation bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_EXPRESSIONS, _AXIS, _AXIS)
+    def test_expression_on_axes_equals_meshgrid(self, source, x1, x2):
+        field = as_field(parse_expression(source))
+        with np.errstate(all="ignore"):
+            try:
+                want = _meshgrid_values(field, x1, x2)
+            except ZeroDivisionError:  # a constant subexpression divides by 0.0
+                with pytest.raises(ZeroDivisionError):
+                    grid_values(field, x1, x2)
+                return
+            got = grid_values(field, x1, x2)
+        assert got.shape == (len(x1), len(x2))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("source", ["0.75", "pi/4", "-2*x1 + sin(x1)",
+                                        "exp(-x2)*cos(3*x2)", "x1*x2"])
+    def test_constant_and_single_variable_fields(self, source):
+        x1 = np.linspace(0.0, PI, 7)
+        x2 = np.linspace(-1.0, 2.0, 5)
+        field = as_field(parse_expression(source))
+        got = grid_values(field, x1, x2)
+        assert got.shape == (7, 5)
+        assert np.array_equal(got, _meshgrid_values(field, x1, x2))
+
+    def test_subtrees_of_one_variable_run_on_its_axis(self):
+        shapes = []
+
+        def fn(x1, x2):
+            shapes.append((np.shape(x1), np.shape(x2)))
+            return np.sin(x1) + np.cos(x2)
+
+        got = grid_values(fn, np.arange(4.0), np.arange(3.0))
+        assert shapes == [((4, 1), (1, 3))]
+        assert np.array_equal(got, _meshgrid_values(fn, np.arange(4.0), np.arange(3.0)))
+
+    @pytest.mark.parametrize("fn", [
+        lambda x1, x2: np.ones_like(x1),
+        lambda x1, x2: np.ones_like(x2),
+        as_field(lambda x1, x2: np.ones_like(x1)),
+        as_field(1.0),
+    ])
+    def test_callables_broadcast_to_the_grid(self, fn):
+        got = grid_values(fn, np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 4))
+        assert got.shape == (6, 4)
+        assert np.array_equal(got, np.ones((6, 4)))
 
 
 class TestCoefficientValidation:

@@ -32,3 +32,14 @@ def test_words_holding_nan_or_inf_are_text():
     text, numbers = compare_reports.split_numbers(b"info,finance,nan,inf,a12")
     assert text == b"info,finance,#,#,a#"
     assert numbers == [b"nan", b"inf", b"12"]
+
+
+def test_shared_configs_reach_paths_no_shipped_config_does():
+    from anisolab.config import load_config
+
+    configs = {p.name: load_config(p)
+               for p in sorted(compare_reports.SHARED_CONFIGS.glob("*.cfg"))}
+    assert set(configs) == {"parabolic_source.cfg", "solve_nonsymmetric.cfg"}
+    assert configs["parabolic_source.cfg"].study.source is not None
+    problem = configs["solve_nonsymmetric.cfg"].problem
+    assert problem.a12 != problem.a21

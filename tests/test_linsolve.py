@@ -4,8 +4,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anisolab import linsolve
+from anisolab.assembly import assemble_system
+from anisolab.coefficients import CoefficientField, as_field
+from anisolab.elliptic import ProblemSpec, solve_linear
 from anisolab.linsolve import (IndefiniteOperatorError, NonConvergenceError,
-                               SolverConfig, solve)
+                               SolverConfig, _is_symmetric, solve)
 
 
 def random_spd(n, seed):
@@ -116,3 +120,72 @@ class TestConfigValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+def _sparse_verdict(K, tol=1e-12):
+    """The symmetry verdict computed on the sparse matrix alone."""
+    d = K - K.T
+    return abs(d).max() <= tol * max(abs(K).max(), 1e-300)
+
+
+def _stored(dense, n_stored):
+    """CSR of ``dense`` storing ``n_stored`` entries on a symmetric pattern:
+    the first 9 or 10 diagonal entries and the first upper-triangle pairs in
+    row-major order, zeros among them kept as explicit entries."""
+    n = dense.shape[0]
+    n_diag = 10 - n_stored % 2
+    upper = np.array(np.triu_indices(n, 1))[:, : (n_stored - n_diag) // 2]
+    rows = np.concatenate([np.arange(n_diag), upper[0], upper[1]])
+    cols = np.concatenate([np.arange(n_diag), upper[1], upper[0]])
+    K = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
+    assert K.nnz == n_stored
+    return K
+
+
+class TestSymmetryCheck:
+    """Dense-view and sparse computations of ``_is_symmetric`` agree."""
+
+    @pytest.fixture(scope="class")
+    def nonsymmetric_coupling(self):
+        return CoefficientField(
+            1.0, as_field(lambda x1, x2: 0.3 * np.sin(x1) * np.sin(x2)),
+            as_field(lambda x1, x2: 0.1 * np.sin(x1) * np.sin(x2)), 1.0, lam=0.75)
+
+    def test_identity_sine_system(self, sine8, A_identity):
+        K = assemble_system(sine8, A_identity).stiffness(0.5)
+        assert 2 * K.nnz >= K.shape[0] ** 2  # checked on the dense view
+        assert _is_symmetric(K) and _sparse_verdict(K)
+
+    def test_unequal_coupling_sine_system(self, sine8, nonsymmetric_coupling):
+        K = assemble_system(sine8, nonsymmetric_coupling).stiffness(0.5)
+        assert 2 * K.nnz >= K.shape[0] ** 2
+        assert not _is_symmetric(K) and not _sparse_verdict(K)
+
+    def test_unequal_coupling_routed_to_lu(self, monkeypatch, dom, sine8,
+                                           nonsymmetric_coupling, f_mode11):
+        def no_cg(*args):
+            raise AssertionError("nonsymmetric system reached CG")
+
+        monkeypatch.setattr(linsolve, "_cg", no_cg)
+        problem = ProblemSpec(dom, nonsymmetric_coupling, f_mode11).with_epsilon(0.5)
+        system = assemble_system(sine8, nonsymmetric_coupling, f_mode11)
+        sol = solve_linear(problem, sine8, system=system)
+        K = system.stiffness(0.5).toarray()
+        assert np.allclose(sol.coeffs, np.linalg.solve(K, system.F),
+                           rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("n_stored", [49, 50, 51])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_half_density_threshold(self, n_stored, symmetric):
+        # n = 10: 50 stored entries are exactly half of n^2; some stored
+        # entries are explicit zeros
+        rng = np.random.default_rng(n_stored)
+        B = rng.normal(size=(10, 10))
+        dense = B + B.T
+        dense[::2, ::2] = 0.0
+        if not symmetric:
+            dense[1, 2] += 1e-6
+        K = _stored(dense, n_stored)
+        stored = K.toarray()
+        assert np.count_nonzero(stored) < K.nnz
+        assert _is_symmetric(K) == _sparse_verdict(K) == _is_symmetric(stored) == symmetric

@@ -6,8 +6,11 @@ Run from anywhere, with the two ``src`` directories to compare:
 
 Every shipped config (``anisolab/configs/*.cfg`` of either tree) runs as
 ``anisolab run --config <cfg> --out <dir>`` in a fresh interpreter under
-each tree, with that tree's own copy of the config.  For every report file
-one line is printed:
+each tree, with that tree's own copy of the config.  Then every config in
+``tools/configs/`` next to this script runs under both trees from that one
+copy; these reach paths that no shipped config does (a time-dependent
+parabolic source, a nonsymmetric sine system).  For every report file one
+line is printed:
 
 * ``identical``;
 * ``numeric-only``, with the largest change ``|new - old| / max(1, |old|)``
@@ -18,6 +21,7 @@ one line is printed:
 The exit status is 1 when a report is missing on one side or its text
 differs, a number moves by more than ``TOLERANCE * max(1, |old|)``, or the
 exit codes, standard output or standard error of a run differ; otherwise 0.
+The closing line counts the configs that agree, shipped and shared apart.
 Standard library only.
 """
 
@@ -35,6 +39,7 @@ TOLERANCE = 1e-12
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     rb"|(?<![A-Za-z_])(?:nan|NaN|inf|Infinity)(?![A-Za-z_])")
 RUN = "import sys; from anisolab.cli import main; sys.exit(main())"
+SHARED_CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
 def split_numbers(data: bytes):
@@ -77,12 +82,12 @@ def run(src: Path, config: Path, out: Path):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def compare_config(name: str, old_src: Path, new_src: Path, work: Path) -> bool:
+def compare_config(name: str, old_config: Path, new_config: Path,
+                   old_src: Path, new_src: Path, work: Path) -> bool:
     """Run one config under both trees, print the per-file lines; True if they agree."""
     ok = True
     runs = []
-    for side, src in (("old", old_src), ("new", new_src)):
-        config = src / "anisolab" / "configs" / name
+    for side, config, src in (("old", old_config, old_src), ("new", new_config, new_src)):
         if not config.is_file():
             print(f"{name}: missing in {side} tree")
             return False
@@ -122,10 +127,16 @@ def main(argv=None) -> int:
     if not names:
         print("no shipped configs found", file=sys.stderr)
         return 2
+    shared = sorted(SHARED_CONFIGS.glob("*.cfg"))
     with tempfile.TemporaryDirectory() as tmp:
-        results = [compare_config(n, old_src, new_src, Path(tmp)) for n in names]
-    print(f"{sum(results)} of {len(results)} configs agree")
-    return 0 if all(results) else 1
+        shipped = [compare_config(n, old_src / "anisolab" / "configs" / n,
+                                  new_src / "anisolab" / "configs" / n,
+                                  old_src, new_src, Path(tmp)) for n in names]
+        extra = [compare_config(f"tools/configs/{c.name}", c, c,
+                                old_src, new_src, Path(tmp)) for c in shared]
+    print(f"{sum(shipped)} of {len(shipped)} shipped configs and "
+          f"{sum(extra)} of {len(extra)} tools/configs agree")
+    return 0 if all(shipped + extra) else 1
 
 
 if __name__ == "__main__":
