@@ -416,6 +416,16 @@ def _sup_abs(values) -> float:
     return float(np.max(np.abs(values)))
 
 
+def _axis_values(field: ScalarField, x1, x2) -> np.ndarray:
+    """``field`` on the tensor grid of ``x1`` and ``x2``, kept on the axes
+    its ``deps`` name: shape ``(1, 1)`` for a constant, ``(x1.size, 1)`` or
+    ``(1, x2.size)`` for one variable.  Broadcast to the full grid it equals
+    :func:`grid_values` value for value."""
+    a1 = x1 if "x1" in field.deps else x1[:1]
+    a2 = x2 if "x2" in field.deps else x2[:1]
+    return np.asarray(field(a1[:, None], a2[None, :]), dtype=float)
+
+
 def compute_constants(A: CoefficientField, domain: TensorDomain,
                       f: Optional[SourceField] = None,
                       reaction: Optional[ReactionSpec] = None,
@@ -423,12 +433,14 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     """Evaluate the full ledger by literal transcription of the formulas.
 
     Sup-norms are estimated on a ``grid x grid`` sample (including the
-    boundary).  Partials of a12 must be declared unless a12 is constant in
+    boundary).  Each field is evaluated on the axes its ``deps`` name and
+    the pointwise quantities are formed by broadcasting, so a constant costs
+    one value.  Partials of a12 must be declared unless a12 is constant in
     the relevant variable.
     """
     lam = A.lam
     x1, x2 = _sample_axes(domain, grid)
-    vals = [grid_values(a, x1, x2) for a in A.entries()]
+    vals = [_axis_values(a, x1, x2) for a in A.entries()]
     sup_a11, sup_a12, sup_a21, sup_a22 = map(_sup_abs, vals)
     # pointwise spectral norm of a 2x2 matrix via its singular values
     sq = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
@@ -440,7 +452,7 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
         declared = getattr(A.a12, which)
         var = "x1" if which == "dx1" else "x2"
         if declared is not None:
-            return _sup_abs(grid_values(as_field(declared), x1, x2))
+            return _sup_abs(_axis_values(as_field(declared), x1, x2))
         if var not in A.a12.deps:
             return 0.0
         raise ValueError(

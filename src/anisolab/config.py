@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .coefficients import CoefficientField, ReactionSpec, SourceField, as_field
+import numpy as np
+
+from .coefficients import (CoefficientField, ReactionSpec, SourceField, as_field,
+                           grid_values)
 from .expressions import ExpressionError, parse_expression
 from .spaces import SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain, build_space
 
@@ -275,6 +278,18 @@ def _validate(cfg: ExperimentConfig, where: dict):
                     "for a sine basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
         raise error("lambda must be positive", "problem", "lam")
+    # the sample grid of CoefficientField.validate, which would reject the
+    # same values without the key's position
+    a1, b1, a2, b2 = cfg.problem.domain
+    x1, x2 = np.linspace(a1, b1, 33), np.linspace(a2, b2, 33)
+    for attr in ("a11", "a12", "a21", "a22"):
+        expr = parse_expression(getattr(cfg.problem, attr))
+        if expr.variables <= {"x1", "x2"}:
+            with np.errstate(all="ignore"):
+                values = grid_values(lambda u, v: expr(x1=u, x2=v), x1, x2)
+            if not np.all(np.isfinite(values)):
+                raise error(f"coefficient {attr} is not finite on the domain",
+                            "problem", attr)
 
 
 def _emit_value(kind, value) -> str:

@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledProblem, assemble_system, norm_matrices, project, _tables
+from .assembly import (AssembledProblem, KronOperator, assemble_system,
+                       norm_matrices, project, _tables)
 from .coefficients import (ConstantLedger, HypothesisNotSatisfied, grid_values,
                            missing_hypotheses)
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, solve_linear,
@@ -235,15 +236,16 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
                                    problem.source, problem.reaction)
     if nonlinear:
         kind = "limit-sqrt"
-        G_ref = ref_system.G2
+        G_ref = ref_system.G2.tocsr()
         constant = ledger.cea_limit
     elif problem.is_limit:
         kind = "limit-linear"
-        G_ref = ref_system.G2
+        G_ref = ref_system.G2.tocsr()
         constant = ledger.cea_limit_linear
     else:
         kind = "perturbed-linear"
-        G_ref = (ref_system.G1 + ref_system.G2).tocsr()
+        G_ref = KronOperator.combine([(1.0, ref_system.G1),
+                                      (1.0, ref_system.G2)]).tocsr()
         constant = ledger.cea_perturbed_linear / problem.epsilon ** 2
 
     rows = []

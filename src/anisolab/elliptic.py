@@ -103,14 +103,11 @@ class GalerkinSolution:
 
 
 def _linear_system(problem: ProblemSpec, system: AssembledProblem):
-    """The problem's system matrix and its tensor preconditioner."""
-    K = system.limit_stiffness() if problem.is_limit else system.stiffness(problem.epsilon)
+    """The problem's factored system operator and its tensor preconditioner."""
+    epsilon = None if problem.is_limit else problem.epsilon
     e2 = 0.0 if problem.is_limit else problem.epsilon ** 2
-    mu = 0.0
-    if problem.reaction.kind == "linear":
-        mu = problem.reaction.mu
-        K = (K + mu * system.M).tocsr()
-    return K, system.tensor_preconditioner(e2, mu)
+    mu = problem.reaction.mu if problem.reaction.kind == "linear" else 0.0
+    return system.operator(epsilon, mu), system.tensor_preconditioner(e2, mu)
 
 
 def solve_linear(problem: ProblemSpec, space: GalerkinSpace,

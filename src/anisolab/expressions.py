@@ -167,7 +167,9 @@ def _eval(node, env):
             return a - b
         if op == "*":
             return a * b
-        return a / b
+        # IEEE division, as on arrays: a constant x / 0 gives inf or nan
+        # (caught by the finiteness checks) instead of raising
+        return np.true_divide(a, b)
     if kind == "call":
         return _FUNCTIONS[node[1]](_eval(node[2], env))
     raise AssertionError(f"bad node {node!r}")

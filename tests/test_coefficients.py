@@ -149,6 +149,55 @@ class TestComputeConstants:
         assert led.sup_matrix == pytest.approx(1.2, abs=1e-12)
 
 
+class TestLedgerOnAxes:
+    """The ledger evaluates each field on the axes its ``deps`` name and
+    broadcasts; every entry equals the meshgrid evaluation bit for bit."""
+
+    # a11, a12, declared d(a12)/dx1 and d(a12)/dx2, a21, a22
+    FIELDS = {
+        "constant": (2.0, 0.3, None, None, 0.25, 1.5),
+        "x1": ("1 + x1/4", "0.2*sin(x1)", "0.2*cos(x1)", None, "0.1*cos(2*x1)",
+               "exp(-x1)"),
+        "x2": ("1 + x2*x2/10", "0.3*cos(x2)", None, "-0.3*sin(x2)", "0.2*sin(x2)",
+               "2 - sin(x2)/3"),
+        "2d": ("1 + x1*x2/10", "0.2*sin(x1)*sin(x2)", "0.2*cos(x1)*sin(x2)",
+               "0.2*sin(x1)*cos(x2)", "0.1*cos(x1 - x2)", "1 + x2*x2/10"),
+        "mixed": (1.0, "0.2*sin(x1)", "0.2*cos(x1)", None, "0.3*cos(x2)",
+                  "1 + x1*x2/10"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FIELDS))
+    def test_ledger_equals_meshgrid_form(self, monkeypatch, dom, f_mode11, kind):
+        from anisolab import coefficients
+
+        def field(value, dx1=None, dx2=None):
+            return as_field(parse_expression(value) if isinstance(value, str) else value,
+                            dx1=None if dx1 is None else parse_expression(dx1),
+                            dx2=None if dx2 is None else parse_expression(dx2))
+
+        a11, a12, dx1, dx2, a21, a22 = self.FIELDS[kind]
+        A = CoefficientField(field(a11), field(a12, dx1, dx2), field(a21),
+                             field(a22), lam=0.25)
+        ledger = compute_constants(A, dom, f_mode11, ReactionSpec.arctan())
+        monkeypatch.setattr(coefficients, "_axis_values", _meshgrid_values)
+        reference = compute_constants(A, dom, f_mode11, ReactionSpec.arctan())
+        assert ledger.as_dict() == reference.as_dict()
+
+    @pytest.mark.parametrize("source,shape", [
+        ("0.75", (1, 1)), ("1 + x1/4", (9, 1)), ("sin(x2)", (1, 5)),
+        ("x1*x2", (9, 5))])
+    def test_natural_shapes(self, source, shape):
+        from anisolab.coefficients import _axis_values
+
+        x1, x2 = np.linspace(0.0, PI, 9), np.linspace(-1.0, 2.0, 5)
+        field = as_field(parse_expression(source))
+        got = _axis_values(field, x1, x2)
+        assert got.shape == shape
+        assert np.array_equal(np.broadcast_to(got, (9, 5)),
+                              _meshgrid_values(field, x1, x2))
+        assert _axis_values(as_field(0.5), x1, x2).shape == (1, 1)
+
+
 class TestGridValues:
     """Evaluation along the axes of a tensor grid equals the meshgrid
     evaluation bit for bit."""

@@ -295,6 +295,26 @@ class TestConfigErrorPositions:
         assert (err.value.line, err.value.column) == (line, column)
 
 
+class TestDivisionByZero:
+    # a11 sits on line 4 of solve_identity.cfg; a constant divisor and one
+    # that depends on x1 end alike
+    @pytest.mark.parametrize("a11", ["1 + 1/(2-2)", "1 + 1/(x1-x1)", "0/(1-1)"])
+    def test_config_error_at_the_key(self, tmp_path, capsys, a11):
+        text = (CONFIG_DIR / "solve_identity.cfg").read_text()
+        assert 'a11 = "1"' in text.splitlines()[3]
+        cfg_path = tmp_path / "zero.cfg"
+        cfg_path.write_text(text.replace('a11 = "1"', f'a11 = "{a11}"'))
+        with pytest.raises(ConfigError, match="coefficient a11 is not finite") as err:
+            load_config(cfg_path)
+        assert (err.value.line, err.value.column) == (4, 1)
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error: line 4, column 1: coefficient a11")
+        assert "Traceback" not in err_text
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+
 class TestNumericalFailures:
     # The real trigger (semigroup_identity.cfg with steps = 20000) marches
     # for seconds, so the study is replaced by one that raises at once.

@@ -55,3 +55,14 @@ def test_missing_variable_value():
     e = parse_expression("x1 + 1")
     with pytest.raises(ValueError, match="x1"):
         e(x2=1.0)
+
+
+def test_constant_division_by_zero_is_ieee():
+    # as on arrays: inf or nan, never ZeroDivisionError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert parse_expression("1 + 1/(2-2)")() == math.inf
+        assert parse_expression("-1/0")() == -math.inf
+        assert math.isnan(parse_expression("0/0")())
+        x1 = np.array([0.5, 1.0])
+        assert np.array_equal(parse_expression("1/(x1-x1)")(x1=x1), [np.inf, np.inf])
+    assert parse_expression("6/4")() == 1.5
