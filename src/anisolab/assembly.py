@@ -22,9 +22,13 @@ The public ``bilinear_form`` family and ``AssembledProblem.stiffness``
 return the CSR materialisation of these operators; the Galerkin solves
 apply them factored.
 
-Coefficients and sources are evaluated on the tensor quadrature grid along
-its axes (``coefficients.grid_values``), so a factor of one variable is
-computed once per point of its own axis.
+The quadrature grid belongs to the space: every kernel and load reads its
+rules and basis tables through :meth:`GalerkinSpace.rule`, and the loads
+are :meth:`GalerkinSpace.load` of grid values.  Coefficients and sources are
+evaluated on the grid along its axes (``coefficients.grid_values``), and a
+one-variable coefficient on its own axis only (``coefficients._axis_values``),
+so a factor of one variable is computed once per point of its axis.
+Every discrete norm ``sqrt(v^T G v)`` is :func:`energy_norm`.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .coefficients import (CoefficientField, ScalarField, SourceField, as_field,
-                           grid_values, scale_matrix)
+from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_values,
+                           as_field, grid_values, scale_matrix)
 from .linsolve import _is_symmetric
 from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis, gauss_rule
 
@@ -51,6 +55,7 @@ __all__ = [
     "assemble_mass",
     "seminorm_matrices",
     "norm_matrices",
+    "energy_norm",
     "mass_1d",
     "stiffness_1d",
     "load_1d",
@@ -165,16 +170,6 @@ class KronOperator:
         return out
 
 
-def _tables(space: GalerkinSpace, direction: int):
-    if direction == 1:
-        pts, wts = space._quad1
-        V, D = space._tables1
-    else:
-        pts, wts = space._quad2
-        V, D = space._tables2
-    return pts, wts, V, D
-
-
 def _pick(selector: int, direction: int, V, D):
     """Pick value or derivative table for one cartesian direction."""
     return D if selector == direction else V
@@ -183,7 +178,7 @@ def _pick(selector: int, direction: int, V, D):
 def _matrix_1d(space: GalerkinSpace, direction: int, test_sel: int, trial_sel: int,
                coef_values=None):
     """1D factor matrix S^T diag(w c) T for one direction."""
-    _, wts, V, D = _tables(space, direction)
+    _, wts, V, D = space.rule(direction)
     S = _pick(test_sel, direction, V, D)
     T = _pick(trial_sel, direction, V, D)
     w = wts if coef_values is None else wts * coef_values
@@ -216,13 +211,9 @@ def _kron_path(space, coef: ScalarField, test_sel: int, trial_sel: int):
         if scale == 0.0:
             return KronOperator(n1, n2)
     elif deps == {"x1"}:
-        pts1 = space._quad1[0]
-        mid2 = 0.5 * (space.domain.omega2[0] + space.domain.omega2[1])
-        c1 = coef(pts1, np.full_like(pts1, mid2))
+        c1 = _axis_values(coef, *space.grid_axes).ravel()
     else:  # {"x2"}
-        pts2 = space._quad2[0]
-        mid1 = 0.5 * (space.domain.omega1[0] + space.domain.omega1[1])
-        c2 = coef(np.full_like(pts2, mid1), pts2)
+        c2 = _axis_values(coef, *space.grid_axes).ravel()
     factors = []
     for direction, c in ((1, c1), (2, c2)):
         # a selector of the other direction picks the value table here
@@ -233,8 +224,8 @@ def _kron_path(space, coef: ScalarField, test_sel: int, trial_sel: int):
 
 
 def _dense_path(space, coef_values, test_sel: int, trial_sel: int):
-    _, w1, V1, D1 = _tables(space, 1)
-    _, w2, V2, D2 = _tables(space, 2)
+    _, w1, V1, D1 = space.rule(1)
+    _, w2, V2, D2 = space.rule(2)
     S1 = _pick(test_sel, 1, V1, D1)
     T1 = _pick(trial_sel, 1, V1, D1)
     S2 = _pick(test_sel, 2, V2, D2)
@@ -291,10 +282,10 @@ def _q1_element_path(space, coef_values, test_sel: int, trial_sel: int):
     return K.tocsr()
 
 
-def _coef_on_grid(space, coef: ScalarField):
-    vals = grid_values(coef, space._quad1[0], space._quad2[0])
+def _coef_on_grid(space, coef: ScalarField, name: str = "coefficient"):
+    vals = grid_values(coef, *space.grid_axes)
     if not np.all(np.isfinite(vals)):
-        raise ValueError("coefficient produced non-finite values on the quadrature grid")
+        raise ValueError(f"{name} produced non-finite values on the quadrature grid")
     return vals
 
 
@@ -353,12 +344,13 @@ def assemble_scaled_stiffness(space: GalerkinSpace, A: CoefficientField,
 
 
 def assemble_mass(space: GalerkinSpace):
-    return bilinear_form(space, 1.0, 0, 0)
+    """CSR view of the cached mass matrix ``M`` (do not modify it)."""
+    return norm_matrices(space)[0].tocsr()
 
 
 def seminorm_matrices(space: GalerkinSpace):
-    """Matrices G1, G2 of the squared partial-gradient seminorms."""
-    return bilinear_form(space, 1.0, 1, 1), bilinear_form(space, 1.0, 2, 2)
+    """CSR views of the cached seminorm matrices G1, G2 (do not modify them)."""
+    return tuple(G.tocsr() for G in norm_matrices(space)[1:])
 
 
 @lru_cache(maxsize=64)
@@ -372,11 +364,14 @@ def assemble_load(space: GalerkinSpace, f):
     """Load vector of the source ``f`` (SourceField, field, callable, or constant)."""
     if isinstance(f, SourceField):
         f = f.f
-    f = as_field(f)
-    vals = _coef_on_grid(space, f)
-    _, w1, V1, _ = _tables(space, 1)
-    _, w2, V2, _ = _tables(space, 2)
-    return (V1.T @ ((w1[:, None] * w2[None, :] * vals) @ V2)).ravel()
+    return space.load(_coef_on_grid(space, as_field(f), "source"))
+
+
+def energy_norm(G, v) -> float:
+    """``sqrt(v^T G v)`` of a symmetric positive semidefinite ``G`` (any
+    operator with ``@``); a form negative by round-off reads 0."""
+    v = np.asarray(v, dtype=float)
+    return float(np.sqrt(max(v @ (G @ v), 0.0)))
 
 
 def mass_1d(family: BasisFamily1D, order: int = 4):
@@ -503,8 +498,7 @@ class AssembledProblem:
             G = KronOperator.combine([(1.0, self.G1), (1.0, self.G2)])
         else:
             G = {"l2": self.M, "x1": self.G1, "x2": self.G2}[which]
-        c = np.asarray(coeffs, dtype=float)
-        return float(np.sqrt(max(c @ (G @ c), 0.0)))
+        return energy_norm(G, coeffs)
 
 
 def assemble_system(space: GalerkinSpace, A: CoefficientField,

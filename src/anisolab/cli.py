@@ -2,11 +2,12 @@
 deterministic CSV/JSON reports.
 
 Exit codes: 0 when every requested verdict passes, 1 when a verdict fails,
-2 on a structured refusal (missing hypothesis flags) or a configuration
-error, 3 on a numerical failure (recorded under ``failures`` in
-``summary.json``).  Repeated runs of the same config produce byte-identical
-outputs; wall-clock timings are therefore never written into report files
-(pass ``--timings`` to get them on stderr).
+2 on a structured refusal (missing hypothesis flags), a configuration
+error or an output path that cannot be created or written, 3 on a
+numerical failure (recorded under ``failures`` in ``summary.json``).
+Repeated runs of the same config produce byte-identical outputs;
+wall-clock timings are therefore never written into report files (pass
+``--timings`` to get them on stderr).
 """
 
 from __future__ import annotations
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         summary, code = run_config(cfg, outdir)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.timings:

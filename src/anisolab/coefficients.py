@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .expressions import Expression
-from .spaces import TensorDomain, gauss_rule
+from .spaces import TensorDomain, _composite_gauss
 
 __all__ = [
     "ScalarField",
@@ -158,6 +158,13 @@ def _sample_axes(domain: TensorDomain, n: int):
             np.linspace(domain.omega2[0], domain.omega2[1], n))
 
 
+def _interval_rule(interval, panels: int = 64, order: int = 4):
+    """Composite Gauss rule ``(points, weights)`` of :func:`integrate_on_domain`
+    on one side: ``panels`` equal cells of ``order`` points each."""
+    a, b = interval
+    return _composite_gauss(a, (b - a) / panels, panels, order)
+
+
 def integrate_on_domain(domain: TensorDomain, fn, panels: int = 64, order: int = 4):
     """Composite Gauss integral of ``fn(x1, x2)`` over the rectangle.
 
@@ -165,16 +172,8 @@ def integrate_on_domain(domain: TensorDomain, fn, panels: int = 64, order: int =
     ``fn`` is evaluated along the axes of the Gauss grid (see
     :func:`grid_values`), so it must broadcast its two arguments.
     """
-    xg, wg = gauss_rule(order)
-
-    def rule(a, b):
-        h = (b - a) / panels
-        pts = (a + h * np.arange(panels)[:, None] + h * xg[None, :]).ravel()
-        wts = np.tile(h * wg, panels)
-        return pts, wts
-
-    p1, w1 = rule(*domain.omega1)
-    p2, w2 = rule(*domain.omega2)
+    p1, w1 = _interval_rule(domain.omega1, panels, order)
+    p2, w2 = _interval_rule(domain.omega2, panels, order)
     # a zero-stride view would take numpy's non-BLAS matmul loop, whose sums
     # round differently from the dense product
     return float(w1 @ np.ascontiguousarray(grid_values(fn, p1, p2)) @ w2)
@@ -273,10 +272,6 @@ class ReactionSpec:
         if self.kind == "linear":
             return self.mu * s
         return np.asarray(self.fn(s), dtype=float)
-
-    @property
-    def is_linear(self) -> bool:
-        return self.kind in ("zero", "linear")
 
     def validate(self, s_max: float = 10.0, samples: int = 401, tol: float = 1e-12):
         s = np.linspace(-s_max, s_max, samples)

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .coefficients import (CoefficientField, ReactionSpec, SourceField, as_field,
-                           grid_values)
+from .coefficients import (CoefficientField, ReactionSpec, SourceField, _interval_rule,
+                           as_field, grid_values)
 from .expressions import ExpressionError, parse_expression
 from .spaces import SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain, build_space
 
@@ -278,18 +278,24 @@ def _validate(cfg: ExperimentConfig, where: dict):
                     "for a sine basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
         raise error("lambda must be positive", "problem", "lam")
-    # the sample grid of CoefficientField.validate, which would reject the
-    # same values without the key's position
+    # coefficients on the sample grid of CoefficientField.validate, which
+    # would reject the same values without the key's position; the source
+    # and its x1-partial on the Gauss grid of integrate_on_domain, which
+    # takes their norms, so a source finite there (sin(x1)/x1) is accepted
     a1, b1, a2, b2 = cfg.problem.domain
-    x1, x2 = np.linspace(a1, b1, 33), np.linspace(a2, b2, 33)
-    for attr in ("a11", "a12", "a21", "a22"):
-        expr = parse_expression(getattr(cfg.problem, attr))
-        if expr.variables <= {"x1", "x2"}:
-            with np.errstate(all="ignore"):
-                values = grid_values(lambda u, v: expr(x1=u, x2=v), x1, x2)
-            if not np.all(np.isfinite(values)):
-                raise error(f"coefficient {attr} is not finite on the domain",
-                            "problem", attr)
+    sample = np.linspace(a1, b1, 33), np.linspace(a2, b2, 33)
+    gauss = _interval_rule((a1, b1))[0], _interval_rule((a2, b2))[0]
+    for what, attrs, axes in (("coefficient", ("a11", "a12", "a21", "a22"), sample),
+                              ("source", ("f", "f_dx1"), gauss)):
+        for attr in attrs:
+            text = getattr(cfg.problem, attr)
+            expr = None if text is None else parse_expression(text)
+            if expr is not None and expr.variables <= {"x1", "x2"}:
+                with np.errstate(all="ignore"):
+                    values = grid_values(lambda u, v: expr(x1=u, x2=v), *axes)
+                if not np.all(np.isfinite(values)):
+                    raise error(f"{what} {attr} is not finite on the domain",
+                                "problem", attr)
 
 
 def _emit_value(kind, value) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .assembly import (AssembledProblem, KronOperator, assemble_system,
-                       norm_matrices, project, _tables)
+                       energy_norm, norm_matrices, project)
 from .coefficients import (ConstantLedger, HypothesisNotSatisfied, grid_values,
                            missing_hypotheses)
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, solve_linear,
@@ -55,11 +55,7 @@ def error_norms(u_a: GalerkinSolution, u_b: GalerkinSolution):
         raise ValueError("solutions live on different spaces")
     M, G1, G2 = norm_matrices(u_a.space)
     d = u_a.coeffs - u_b.coeffs
-
-    def norm(G):
-        return float(np.sqrt(max(d @ (G @ d), 0.0)))
-
-    return norm(G1), norm(G2), norm(M)
+    return energy_norm(G1, d), energy_norm(G2, d), energy_norm(M, d)
 
 
 def errors_vs_function(space: GalerkinSpace, coeffs, u_fn, du1_fn, du2_fn):
@@ -69,20 +65,11 @@ def errors_vs_function(space: GalerkinSpace, coeffs, u_fn, du1_fn, du2_fn):
     solutions, counterexample studies).  The three functions are evaluated
     along the axes of the quadrature grid, so they must broadcast.
     """
-    _, w1, V1, D1 = _tables(space, 1)
-    _, w2, V2, D2 = _tables(space, 2)
-    U = np.asarray(coeffs, dtype=float).reshape(space.basis1.dim,
-                                                space.basis2.dim)
-    p1 = space._quad1[0]
-    p2 = space._quad2[0]
+    def quad_norm(selector, fn):
+        diff = space.on_grid(coeffs, selector) - grid_values(fn, *space.grid_axes)
+        return float(np.sqrt(max(space.integrate(diff ** 2), 0.0)))
 
-    def quad_norm(diff):
-        return float(np.sqrt(max(w1 @ (diff ** 2) @ w2, 0.0)))
-
-    e_x1 = quad_norm(D1 @ U @ V2.T - grid_values(du1_fn, p1, p2))
-    e_x2 = quad_norm(V1 @ U @ D2.T - grid_values(du2_fn, p1, p2))
-    e_l2 = quad_norm(V1 @ U @ V2.T - grid_values(u_fn, p1, p2))
-    return e_x1, e_x2, e_l2
+    return quad_norm(1, du1_fn), quad_norm(2, du2_fn), quad_norm(0, u_fn)
 
 
 def fit_slope(epsilons, errors, floor: float = SLOPE_FLOOR) -> float:
@@ -160,7 +147,7 @@ def rate_study(problem: ProblemSpec, space: GalerkinSpace,
         grad_f = problem.source.norm_grad_x1(problem.domain)
         const = (ledger.rate_const_grad * ledger.dq_const * grad_f
                  + ledger.rate_const_source * norm_f)
-        grad_uv = float(np.sqrt(max(u_ref.coeffs @ (system.G1 @ u_ref.coeffs), 0.0)))
+        grad_uv = energy_norm(system.G1, u_ref.coeffs)
         const_galerkin = (ledger.rate_const_grad * grad_uv
                           + ledger.rate_const_source * norm_f)
         study.bound = [const * e for e in epsilons]
@@ -201,8 +188,7 @@ def _best_approx_error(G_ref, u_ref_coeffs, E):
     gram = (E.T @ (G_ref @ E)).tocsc()
     rhs = E.T @ (G_ref @ u_ref_coeffs)
     c = spla.spsolve(gram, rhs)
-    d = u_ref_coeffs - E @ c
-    return float(np.sqrt(max(d @ (G_ref @ d), 0.0)))
+    return energy_norm(G_ref, u_ref_coeffs - E @ c)
 
 
 def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
@@ -256,8 +242,7 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
             u_v = solve_semilinear(problem, space, damping=damping, system=system)
         else:
             u_v = solve_linear(problem, space, solver, system)
-        d = u_ref.coeffs - E @ u_v.coeffs
-        gal_err = float(np.sqrt(max(d @ (G_ref @ d), 0.0)))
+        gal_err = energy_norm(G_ref, u_ref.coeffs - E @ u_v.coeffs)
         best_err = _best_approx_error(G_ref, u_ref.coeffs, E)
         rhs = constant * math.sqrt(best_err) if nonlinear else constant * best_err
         rows.append(CeaRow(
@@ -315,8 +300,7 @@ def ap_diagram(problem: ProblemSpec, epsilons: Sequence[float],
     G_ref = ref_system.G2
 
     def err_against_ref(E, sol):
-        d = u_ref.coeffs - E @ sol.coeffs
-        return float(np.sqrt(max(d @ (G_ref @ d), 0.0)))
+        return energy_norm(G_ref, u_ref.coeffs - E @ sol.coeffs)
 
     systems = [assemble_system(s, problem.coefficients, problem.source)
                for s in spaces]
@@ -377,7 +361,7 @@ def difference_quotient_bound(problem: ProblemSpec, space: GalerkinSpace,
         ledger = compute_constants(problem.coefficients, problem.domain,
                                    problem.source, problem.reaction)
     f_proj = project(space, problem.source)
-    grad_f_inspace = float(np.sqrt(max(f_proj @ (system.G1 @ f_proj), 0.0)))
+    grad_f_inspace = energy_norm(system.G1, f_proj)
     return DQReport(
         lhs=lhs,
         grad_f=grad_f,
@@ -447,9 +431,5 @@ def linear_reaction_rate_study(problem: ProblemSpec, space: GalerkinSpace,
 def grad1_functional(space: GalerkinSpace, coeffs, phi):
     """Pairing of the first-direction gradient of a discrete function with a
     smooth test function, evaluated by quadrature."""
-    _, w1, V1, D1 = _tables(space, 1)
-    _, w2, V2, _ = _tables(space, 2)
-    U = np.asarray(coeffs, dtype=float).reshape(space.basis1.dim, space.basis2.dim)
-    dvals = D1 @ U @ V2.T
-    phi_vals = grid_values(phi, space._quad1[0], space._quad2[0])
-    return float(w1 @ (dvals * phi_vals) @ w2)
+    return space.integrate(space.on_grid(coeffs, 1)
+                           * grid_values(phi, *space.grid_axes))

@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledProblem, assemble_system, _tables
+from .assembly import AssembledProblem, assemble_system
 from .coefficients import CoefficientField, ConstantLedger, ReactionSpec, SourceField
 from .linsolve import NonConvergenceError, SolverConfig, solve
 from .reports import write_csv
@@ -137,19 +137,9 @@ def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
                             final_residual=rel)
 
 
-def _quadrature_values(space: GalerkinSpace, coeffs):
-    _, _, V1, _ = _tables(space, 1)
-    _, _, V2, _ = _tables(space, 2)
-    U = coeffs.reshape(space.basis1.dim, space.basis2.dim)
-    return V1 @ U @ V2.T
-
-
 def reaction_load(space: GalerkinSpace, reaction: ReactionSpec, coeffs):
     """Load vector of beta(u_h), with u_h evaluated at quadrature points."""
-    _, w1, V1, _ = _tables(space, 1)
-    _, w2, V2, _ = _tables(space, 2)
-    vals = reaction.beta(_quadrature_values(space, coeffs))
-    return (V1.T @ ((w1[:, None] * w2[None, :] * vals) @ V2)).ravel()
+    return space.load(reaction.beta(space.on_grid(coeffs)))
 
 
 def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
@@ -236,10 +226,8 @@ def apriori_check(sol: GalerkinSolution, ledger: ConstantLedger,
     norm_f = problem.source.norm_l2(problem.domain)
     grad = system.norm(u, "grad")
     grad2 = system.norm(u, "x2")
-    beta_vals = problem.reaction.beta(_quadrature_values(sol.space, u))
-    _, w1, _, _ = _tables(sol.space, 1)
-    _, w2, _, _ = _tables(sol.space, 2)
-    beta_norm = float(np.sqrt(max(w1 @ (beta_vals ** 2) @ w2, 0.0)))
+    beta_vals = problem.reaction.beta(sol.space.on_grid(u))
+    beta_norm = float(np.sqrt(max(sol.space.integrate(beta_vals ** 2), 0.0)))
     if problem.reaction.kind == "zero":
         M = 0.0
     elif problem.reaction.kind == "linear":

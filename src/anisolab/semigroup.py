@@ -22,8 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (AssembledProblem, assemble_system, mass_1d,
-                       project_1d, stiffness_1d)
+from .assembly import (AssembledProblem, assemble_system, energy_norm,
+                       mass_1d, project_1d, stiffness_1d)
 from .coefficients import (CoefficientField, HypothesisNotSatisfied, SourceField,
                            missing_hypotheses)
 from .diagnostics import fit_slope
@@ -80,8 +80,7 @@ class DiscreteGenerator:
         return self.M.shape[0]
 
     def m_norm(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(max(v @ (self.M @ v), 0.0)))
+        return energy_norm(self.M, v)
 
     def dissipativity_gap(self) -> float:
         """Smallest Rayleigh quotient v'Kv / v'Mv over probe vectors.

@@ -18,7 +18,10 @@ gives ``16 m`` points per direction: a 512 x 512 grid for the 2D space at
 
 A :class:`GalerkinSpace` is the tensor product of two families with the flat
 index convention ``flat = i * dim2 + j`` (second direction fastest), which
-makes Kronecker-structured matrices index-transparent.
+makes Kronecker-structured matrices index-transparent.  It owns the tensor
+quadrature grid: the rule and basis tables of each direction
+(:meth:`GalerkinSpace.rule`), the grid axes, discrete functions and their
+partials on the grid, the quadrature integral and the load of grid values.
 """
 
 from __future__ import annotations
@@ -327,20 +330,42 @@ class GalerkinSpace:
         return divmod(flat, self.basis2.dim)
 
     @cached_property
-    def _quad1(self):
-        return self.basis1.quad_points(self.quadrature.order)
+    def _rules(self):
+        rules = []
+        for family in (self.basis1, self.basis2):
+            pts, wts = family.quad_points(self.quadrature.order)
+            rules.append((pts, wts, *family.eval_table(pts)))
+        return rules
 
-    @cached_property
-    def _quad2(self):
-        return self.basis2.quad_points(self.quadrature.order)
+    def rule(self, direction: int):
+        """``(points, weights, V, D)`` of one direction: its quadrature rule
+        and the basis values and first derivatives at its points.  Built once
+        per space; read-only."""
+        return self._rules[0 if direction == 1 else 1]
 
-    @cached_property
-    def _tables1(self):
-        return self.basis1.eval_table(self._quad1[0])
+    @property
+    def grid_axes(self):
+        """``(x1, x2)``: the point sets whose tensor product is the quadrature grid."""
+        return self._rules[0][0], self._rules[1][0]
 
-    @cached_property
-    def _tables2(self):
-        return self.basis2.eval_table(self._quad2[0])
+    def on_grid(self, coeffs, selector: int = 0) -> np.ndarray:
+        """A discrete function (selector 0) or its partial in ``x1`` (1) or
+        ``x2`` (2) on the quadrature grid, as a ``(len(x1), len(x2))`` array."""
+        _, _, V1, D1 = self.rule(1)
+        _, _, V2, D2 = self.rule(2)
+        U = np.asarray(coeffs, dtype=float).reshape(self.basis1.dim, self.basis2.dim)
+        return (D1 if selector == 1 else V1) @ U @ (D2 if selector == 2 else V2).T
+
+    def integrate(self, values) -> float:
+        """Quadrature integral of values given on the grid."""
+        return float(self._rules[0][1] @ values @ self._rules[1][1])
+
+    def load(self, values) -> np.ndarray:
+        """``integral values * phi`` for every basis function ``phi``, from
+        values on the grid; flat index order."""
+        _, w1, V1, _ = self.rule(1)
+        _, w2, V2, _ = self.rule(2)
+        return (V1.T @ ((w1[:, None] * w2[None, :] * values) @ V2)).ravel()
 
     def eval_basis(self, flat: int, x1: float, x2: float):
         """Value and both partial derivatives of one basis function."""

@@ -345,3 +345,85 @@ class TestNumericalFailures:
              "message": str(exc)}, **diagnostics)]
         assert data["refusals"] == []
         assert "failed: " in capsys.readouterr().err
+
+
+class TestNonFiniteSource:
+    # f and f_dx1 sit on lines 13 and 14 of rate_identity.cfg and
+    # dq_identity.cfg; a non-finite source used to pass the bound verdicts
+    # (f_dx1) or fail with a message about a ledger entry or a coefficient
+    @pytest.mark.parametrize("cfg_name,command", [
+        ("rate_identity.cfg", "rate-study"),
+        ("dq_identity.cfg", "dq-check"),
+        ("solve_identity.cfg", "solve"),
+    ])
+    @pytest.mark.parametrize("key,value,line", [
+        ("f_dx1", "1/(x2-x2)", 14),
+        ("f", "1/(x1-x1)", 13),
+        ("f", "1/(2-2)", 13),
+    ])
+    def test_config_error_at_the_key(self, tmp_path, capsys, cfg_name,
+                                     command, key, value, line):
+        lines = (CONFIG_DIR / cfg_name).read_text().splitlines()
+        assert lines[line - 1].startswith(f"{key} = ")
+        lines[line - 1] = f'{key} = "{value}"'
+        cfg_path = tmp_path / "source.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=f"source {key} is not finite") as err:
+            load_config(cfg_path)
+        assert (err.value.line, err.value.column) == (line, 1)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith(f"error: line {line}, column 1: source {key}")
+        assert "Traceback" not in err_text
+        assert not (out / "summary.json").exists()
+
+    def test_source_finite_on_the_gauss_grid_is_accepted(self, tmp_path):
+        # sin(x1)/x1 is 0/0 at x1 = 0, a point no Gauss rule holds
+        text = (CONFIG_DIR / "solve_identity.cfg").read_text()
+        text = text.replace('f = "(2/pi)*sin(x1)*sin(x2)"',
+                            'f = "sin(x1)/x1*sin(x2)"')
+        text = text.replace('f_dx1 = "(2/pi)*cos(x1)*sin(x2)"',
+                            'f_dx1 = "cos(x1)/x1*sin(x2) - sin(x1)/(x1*x1)*sin(x2)"')
+        cfg_path = tmp_path / "sinc.cfg"
+        cfg_path.write_text(text)
+        cfg = load_config(cfg_path)
+        assert cfg.problem.f == "sin(x1)/x1*sin(x2)"
+        summary, code = run_config(cfg, tmp_path / "out")
+        assert code in (0, 1)
+        assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_assembly_names_the_source(self, sine8):
+        import numpy as np
+        from anisolab.assembly import assemble_load
+        with pytest.raises(ValueError, match="^source produced non-finite"):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                assemble_load(sine8, lambda x1, x2: x1 / (x2 - x2))
+
+
+class TestOutputPath:
+    def test_out_naming_a_file_is_an_error_not_a_traceback(self, tmp_path,
+                                                          capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep me\n")
+        code = main(["solve", "--config",
+                     str(CONFIG_DIR / "solve_identity.cfg"),
+                     "--out", str(target)])
+        assert code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error: ")
+        assert str(target) in err_text
+        assert "Traceback" not in err_text
+        assert target.read_text() == "keep me\n"
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_out_below_a_file_is_an_error(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("")
+        code = main(["solve", "--config",
+                     str(CONFIG_DIR / "solve_identity.cfg"),
+                     "--out", str(target / "sub")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
