@@ -6,17 +6,16 @@ Derivative selectors are 0 (value), 1 (d/dx1), 2 (d/dx2); a generic form is
 
 with ``t`` the test selector and ``s`` the trial selector.  Every form is a
 :class:`KronOperator`: a short list of factored terms ``c B1 (x) B2`` plus
-remainders.  Three kernels are used depending on the structure of the
+remainders.  Two kernels are used depending on the structure of the
 coefficient:
 
 * constant or single-variable coefficients give one factored term of two
   1D matrices, dense for sine and sparse (tridiagonal) for Q1; the
   coefficient-free factors are built once per space;
-* genuinely 2D coefficients on a pair of Q1 families give a CSR remainder
-  by vectorized per-element assembly;
-* everything else gives a dense remainder by a tensor contraction over the
-  quadrature grid (natural for sine bases, whose matrices are dense
-  anyway).
+* genuinely 2D coefficients give a remainder by a contraction over the
+  quadrature grid, restricted in each direction to the basis pairs whose
+  supports overlap (every pair for sine, neighbours for Q1): dense for
+  sine x sine, CSR when either direction is Q1.
 
 The public ``bilinear_form`` family and ``AssembledProblem.stiffness``
 return the CSR materialisation of these operators; the Galerkin solves
@@ -44,7 +43,7 @@ import scipy.sparse as sp
 from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_values,
                            as_field, grid_values, scale_matrix)
 from .linsolve import _is_symmetric
-from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis, gauss_rule
+from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis
 
 __all__ = [
     "bilinear_form",
@@ -223,67 +222,44 @@ def _kron_path(space, coef: ScalarField, test_sel: int, trial_sel: int):
     return KronOperator(n1, n2, [(scale, *factors)])
 
 
-def _dense_path(space, coef_values, test_sel: int, trial_sel: int):
-    _, w1, V1, D1 = space.rule(1)
-    _, w2, V2, D2 = space.rule(2)
-    S1 = _pick(test_sel, 1, V1, D1)
-    T1 = _pick(trial_sel, 1, V1, D1)
-    S2 = _pick(test_sel, 2, V2, D2)
-    T2 = _pick(trial_sel, 2, V2, D2)
-    n1 = S1.shape[1]
-    n2 = S2.shape[1]
+def _pair_table(space: GalerkinSpace, direction: int, test_sel: int,
+                trial_sel: int):
+    """``(i, k, C)`` of one direction: the basis pairs whose supports
+    overlap, read off the tables as the nonzeros of ``|S|^T |T|``, and their
+    products ``C[p, (i, k)] = S[p, i] T[p, k]`` at the quadrature points,
+    stored like the direction's 1D factors."""
+    _, _, V, D = space.rule(direction)
+    S = _pick(test_sel, direction, V, D)
+    T = _pick(trial_sel, direction, V, D)
+    i, k = np.nonzero(np.abs(S).T @ np.abs(T))
+    C = np.take(S, i, axis=1)
+    C *= np.take(T, k, axis=1)
+    return i, k, _as_factor(space, direction, C)
+
+
+def _grid_path(space: GalerkinSpace, coef_values, test_sel: int, trial_sel: int):
+    """``C1^T (w1 w2^T o c) C2`` over the overlapping pairs: a dense matrix
+    when every pair overlaps (sine x sine), CSR otherwise."""
+    _, w1, _, _ = space.rule(1)
+    _, w2, _, _ = space.rule(2)
+    i1, k1, C1 = _pair_table(space, 1, test_sel, trial_sel)
+    i2, k2, C2 = _pair_table(space, 2, test_sel, trial_sel)
+    n1, n2, dim = space.basis1.dim, space.basis2.dim, space.dim
     Wc = (w1[:, None] * w2[None, :]) * coef_values
-    C1 = (S1[:, :, None] * T1[:, None, :]).reshape(S1.shape[0], n1 * n1)
-    C2 = (S2[:, :, None] * T2[:, None, :]).reshape(S2.shape[0], n2 * n2)
     pairs = C1.T @ (Wc @ C2)
-    return pairs.reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(n1 * n2, n1 * n2)
-
-
-def _q1_element_path(space, coef_values, test_sel: int, trial_sel: int):
-    b1: Q1Basis = space.basis1
-    b2: Q1Basis = space.basis2
-    order = space.quadrature.order
-    xg, wg = gauss_rule(order)
-    # local linear shape functions on the reference cell
-    N = np.stack([1.0 - xg, xg], axis=1)           # (g, 2)
-    dN1 = np.stack([-np.ones_like(xg), np.ones_like(xg)], axis=1) / b1.h
-    dN2 = np.stack([-np.ones_like(xg), np.ones_like(xg)], axis=1) / b2.h
-    S1 = dN1 if test_sel == 1 else N
-    T1 = dN1 if trial_sel == 1 else N
-    S2 = dN2 if test_sel == 2 else N
-    T2 = dN2 if trial_sel == 2 else N
-
-    E1, E2, g = b1.m, b2.m, order
-    C = coef_values.reshape(E1, g, E2, g)
-    WC = C * (b1.h * wg)[None, :, None, None] * (b2.h * wg)[None, None, None, :]
-    loc = np.einsum("EPFQ,Pa,Pc,Qb,Qd->EFabcd", WC, S1, T1, S2, T2, optimize=True)
-
-    # local node a of element e is global node e + a; interior dof = node - 1
-    dofs1 = np.arange(E1)[:, None] + np.arange(2)[None, :] - 1   # (E1, 2)
-    dofs2 = np.arange(E2)[:, None] + np.arange(2)[None, :] - 1
-    valid1 = (dofs1 >= 0) & (dofs1 < b1.dim)
-    valid2 = (dofs2 >= 0) & (dofs2 < b2.dim)
-
-    n2 = b2.dim
-    rows = (dofs1[:, None, :, None, None, None] * n2
-            + dofs2[None, :, None, :, None, None])
-    cols = (dofs1[:, None, None, None, :, None] * n2
-            + dofs2[None, :, None, None, None, :])
-    mask = (valid1[:, None, :, None, None, None]
-            & valid2[None, :, None, :, None, None]
-            & valid1[:, None, None, None, :, None]
-            & valid2[None, :, None, None, None, :])
-    rows, cols, mask = np.broadcast_arrays(rows, cols, mask)
-    vals = np.broadcast_to(loc, mask.shape)
-    r = rows[mask]
-    c = cols[mask]
-    v = vals[mask]
-    K = sp.coo_matrix((v, (r, c)), shape=(space.dim, space.dim))
-    return K.tocsr()
+    if i1.size == n1 * n1 and i2.size == n2 * n2:
+        # np.nonzero lists the pairs row by row: (i, k) is column i * n + k
+        return pairs.reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(dim, dim)
+    rows = i1[:, None] * n2 + i2[None, :]
+    cols = k1[:, None] * n2 + k2[None, :]
+    return sp.csr_matrix((pairs.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(dim, dim))
 
 
 def _coef_on_grid(space, coef: ScalarField, name: str = "coefficient"):
-    vals = grid_values(coef, *space.grid_axes)
+    # a division by zero is reported by the check below, not as a warning
+    with np.errstate(all="ignore"):
+        vals = grid_values(coef, *space.grid_axes)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"{name} produced non-finite values on the quadrature grid")
     return vals
@@ -294,11 +270,7 @@ def _form(space: GalerkinSpace, coef: ScalarField, test_sel: int,
     """``integral c * D^t(test) * D^s(trial)`` as a factored operator."""
     if coef.deps <= {"x1"} or coef.deps <= {"x2"}:
         return _kron_path(space, coef, test_sel, trial_sel)
-    values = _coef_on_grid(space, coef)
-    if isinstance(space.basis1, Q1Basis) and isinstance(space.basis2, Q1Basis):
-        R = _q1_element_path(space, values.ravel(), test_sel, trial_sel)
-    else:
-        R = _dense_path(space, values, test_sel, trial_sel)
+    R = _grid_path(space, _coef_on_grid(space, coef), test_sel, trial_sel)
     return KronOperator(space.basis1.dim, space.basis2.dim, remainders=((1.0, R),))
 
 
@@ -492,13 +464,6 @@ class AssembledProblem:
         def apply(r):
             return (Q1 @ (inv * (Q1.T @ r.reshape(shape) @ Q2)) @ Q2.T).ravel()
         return apply
-
-    def norm(self, coeffs, which: str) -> float:
-        if which == "grad":
-            G = KronOperator.combine([(1.0, self.G1), (1.0, self.G2)])
-        else:
-            G = {"l2": self.M, "x1": self.G1, "x2": self.G2}[which]
-        return energy_norm(G, coeffs)
 
 
 def assemble_system(space: GalerkinSpace, A: CoefficientField,

@@ -243,6 +243,9 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno, indent)
         spec = schema[key]
         attr, kind = spec if isinstance(spec, tuple) else (key, spec)
+        if (section, attr) in where:
+            raise ConfigError(f"key {key!r} given twice in [{section}] (first on "
+                              f"line {where[(section, attr)][0]})", lineno, indent)
         col = line.index("=") + 2
         setattr(getattr(cfg, section), attr, _parse_value(kind, value, lineno, col))
         where[(section, attr)] = (lineno, indent)
@@ -278,24 +281,29 @@ def _validate(cfg: ExperimentConfig, where: dict):
                     "for a sine basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
         raise error("lambda must be positive", "problem", "lam")
+    if st.u0 is not None and not parse_expression(st.u0).variables <= {"x1", "x2"}:
+        raise error("initial state u0 may depend on x1 and x2 only", "study", "u0")
     # coefficients on the sample grid of CoefficientField.validate, which
-    # would reject the same values without the key's position; the source
-    # and its x1-partial on the Gauss grid of integrate_on_domain, which
-    # takes their norms, so a source finite there (sin(x1)/x1) is accepted
+    # would reject the same values without the key's position; the source,
+    # its x1-partial and the parabolic initial state on the Gauss grid of
+    # integrate_on_domain, which takes their norms, so a source finite there
+    # (sin(x1)/x1) is accepted
     a1, b1, a2, b2 = cfg.problem.domain
     sample = np.linspace(a1, b1, 33), np.linspace(a2, b2, 33)
     gauss = _interval_rule((a1, b1))[0], _interval_rule((a2, b2))[0]
-    for what, attrs, axes in (("coefficient", ("a11", "a12", "a21", "a22"), sample),
-                              ("source", ("f", "f_dx1"), gauss)):
+    for what, section, attrs, axes in (
+            ("coefficient", "problem", ("a11", "a12", "a21", "a22"), sample),
+            ("source", "problem", ("f", "f_dx1"), gauss),
+            ("initial state", "study", ("u0",), gauss)):
         for attr in attrs:
-            text = getattr(cfg.problem, attr)
+            text = getattr(getattr(cfg, section), attr)
             expr = None if text is None else parse_expression(text)
             if expr is not None and expr.variables <= {"x1", "x2"}:
                 with np.errstate(all="ignore"):
                     values = grid_values(lambda u, v: expr(x1=u, x2=v), *axes)
                 if not np.all(np.isfinite(values)):
                     raise error(f"{what} {attr} is not finite on the domain",
-                                "problem", attr)
+                                section, attr)
 
 
 def _emit_value(kind, value) -> str:

@@ -16,10 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse.linalg as spla
 
+# the ledger is computed as ``coefficients.compute_constants``, looked up on
+# the module at each call, so that a replacement set there is the one called
+from . import coefficients
 from .assembly import (AssembledProblem, KronOperator, assemble_system,
                        energy_norm, norm_matrices, project)
-from .coefficients import (ConstantLedger, HypothesisNotSatisfied, grid_values,
-                           missing_hypotheses)
+from .coefficients import (ConstantLedger, HypothesisNotSatisfied, ReactionSpec,
+                           grid_values, missing_hypotheses)
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, solve_linear,
                        solve_semilinear)
 from .linsolve import SolverConfig
@@ -140,9 +143,9 @@ def rate_study(problem: ProblemSpec, space: GalerkinSpace,
             study.refusal = "missing hypotheses: " + ", ".join(missing)
             return study
         if ledger is None:
-            from .coefficients import compute_constants
-            ledger = compute_constants(problem.coefficients, problem.domain,
-                                       problem.source, problem.reaction)
+            ledger = coefficients.compute_constants(
+                problem.coefficients, problem.domain, problem.source,
+                problem.reaction)
         norm_f = ledger.norm_f or problem.source.norm_l2(problem.domain)
         grad_f = problem.source.norm_grad_x1(problem.domain)
         const = (ledger.rate_const_grad * ledger.dq_const * grad_f
@@ -217,9 +220,9 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
         u_ref = solve_linear(problem, reference_space, solver, ref_system)
 
     if ledger is None:
-        from .coefficients import compute_constants
-        ledger = compute_constants(problem.coefficients, problem.domain,
-                                   problem.source, problem.reaction)
+        ledger = coefficients.compute_constants(
+            problem.coefficients, problem.domain, problem.source,
+            problem.reaction)
     if nonlinear:
         kind = "limit-sqrt"
         G_ref = ref_system.G2.tocsr()
@@ -354,12 +357,12 @@ def difference_quotient_bound(problem: ProblemSpec, space: GalerkinSpace,
         raise HypothesisNotSatisfied(missing)
     system = assemble_system(space, problem.coefficients, problem.source)
     sol = solve_linear(problem.with_epsilon(LIMIT), space, solver, system)
-    lhs = system.norm(sol.coeffs, "x1")
+    lhs = energy_norm(system.G1, sol.coeffs)
     grad_f = problem.source.norm_grad_x1(problem.domain)
     if ledger is None:
-        from .coefficients import compute_constants
-        ledger = compute_constants(problem.coefficients, problem.domain,
-                                   problem.source, problem.reaction)
+        ledger = coefficients.compute_constants(
+            problem.coefficients, problem.domain, problem.source,
+            problem.reaction)
     f_proj = project(space, problem.source)
     grad_f_inspace = energy_norm(system.G1, f_proj)
     return DQReport(
@@ -398,8 +401,6 @@ def linear_reaction_rate_study(problem: ProblemSpec, space: GalerkinSpace,
     not grow with mu (5 percent slack), and errors must shrink at least like
     1/mu between consecutive slopes (20 percent slack).
     """
-    from .coefficients import ReactionSpec
-
     study = LinearReactionStudy(list(mus), {}, {})
     missing = missing_hypotheses("rate-linear-reaction", problem.coefficients,
                                  problem.source)

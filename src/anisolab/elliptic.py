@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledProblem, assemble_system
+from .assembly import AssembledProblem, KronOperator, assemble_system, energy_norm
 from .coefficients import CoefficientField, ConstantLedger, ReactionSpec, SourceField
 from .linsolve import NonConvergenceError, SolverConfig, solve
 from .reports import write_csv
@@ -224,8 +224,8 @@ def apriori_check(sol: GalerkinSolution, ledger: ConstantLedger,
     u = sol.coeffs
     lam = ledger.lam
     norm_f = problem.source.norm_l2(problem.domain)
-    grad = system.norm(u, "grad")
-    grad2 = system.norm(u, "x2")
+    grad = energy_norm(KronOperator.combine([(1.0, system.G1), (1.0, system.G2)]), u)
+    grad2 = energy_norm(system.G2, u)
     beta_vals = problem.reaction.beta(sol.space.on_grid(u))
     beta_norm = float(np.sqrt(max(sol.space.integrate(beta_vals ** 2), 0.0)))
     if problem.reaction.kind == "zero":

@@ -191,6 +191,25 @@ class TestIndependentOracle:
                                            epsabs=1e-12, epsrel=1e-12)
         assert K12[row, col] == pytest.approx(ref, abs=1e-9)
 
+    def test_q1_coupling_entry_against_adaptive_quadrature(self, q1_8):
+        # a coefficient that is not a product of one-variable factors, on the
+        # one cell [3h, 4h]^2 where the test and trial hats both live
+        g = ScalarField(lambda x1, x2: 0.2 * np.sin(x1 * x2 / 2), {"x1", "x2"})
+        A = CoefficientField(1.0, g, g, 1.0, lam=0.8)
+        K12 = assemble_block_stiffness(q1_8, A, "12").toarray()
+        h = PI / 8
+        row = q1_8.flat_index(3, 2)  # test: hat at 4h in x1, at 3h in x2
+        col = q1_8.flat_index(2, 3)  # trial: hat at 3h in x1, at 4h in x2
+
+        def integrand(x2, x1):
+            test_d1 = (1.0 / h) * (4 * h - x2) / h
+            trial_d2 = (4 * h - x1) / h * (1.0 / h)
+            return 0.2 * np.sin(x1 * x2 / 2) * test_d1 * trial_d2
+
+        ref, err = scipy.integrate.dblquad(integrand, 3 * h, 4 * h, 3 * h, 4 * h,
+                                           epsabs=1e-13, epsrel=1e-13)
+        assert K12[row, col] == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
 
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path, sine8, A_identity):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -427,3 +428,66 @@ class TestOutputPath:
                      "--out", str(target / "sub")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestParabolicInputs:
+    # u0 sits on line 31 of parabolic_identity.cfg; a non-finite u0 used to
+    # end with a numpy warning and a message about the source
+    @pytest.mark.parametrize("value,message", [
+        ("1/(x1-x1)", "initial state u0 is not finite on the domain"),
+        ("1/(2-2)", "initial state u0 is not finite on the domain"),
+        ("t*x1", "initial state u0 may depend on x1 and x2 only"),
+    ])
+    def test_bad_u0_is_a_config_error_at_the_key(self, tmp_path, capsys,
+                                                  value, message):
+        lines = (CONFIG_DIR / "parabolic_identity.cfg").read_text().splitlines()
+        assert lines[30].startswith("u0 = ")
+        lines[30] = f'u0 = "{value}"'
+        cfg_path = tmp_path / "u0.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=message) as err:
+            load_config(cfg_path)
+        assert (err.value.line, err.value.column) == (31, 1)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        err_text = capsys.readouterr().err
+        assert err_text == f"error: line 31, column 1: {message}\n"
+        assert not (out / "summary.json").exists()
+
+    def test_source_blowing_up_at_a_step_time_is_one_error_line(self, tmp_path,
+                                                                capsys):
+        # steps = 256 over T = 1 puts a step time on t = 0.5
+        text = (CONFIG_DIR / "parabolic_identity.cfg").read_text()
+        assert "steps = 256\n" in text and "T = 1\n" in text
+        cfg_path = tmp_path / "source.cfg"
+        cfg_path.write_text(text.replace("u0_eps_coeff",
+                                         'source = "1/(t-0.5)"\nu0_eps_coeff'))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(cfg_path),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        err_text = capsys.readouterr().err
+        assert err_text == ("error: source produced non-finite values on the "
+                            "quadrature grid\n")
+
+
+class TestRepeatedKey:
+    def test_second_occurrence_is_an_error(self):
+        with pytest.raises(ConfigError, match="key 'kind' given twice in "
+                           r"\[study\] \(first on line 2\)") as err:
+            parse_config("[study]\nkind = rate\nkind = ap\n")
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    def test_repeat_in_a_reopened_section_at_its_indent(self):
+        text = "[problem]\nlambda = 1\n[study]\nkind = rate\n[problem]\n  lambda = 2\n"
+        with pytest.raises(ConfigError, match="'lambda' given twice") as err:
+            parse_config(text)
+        assert (err.value.line, err.value.column) == (6, 3)
+
+    def test_same_key_in_two_sections_is_accepted(self):
+        cfg = parse_config("[problem]\nmu = 2\n[study]\nmu = 3\n")
+        assert (cfg.problem.mu, cfg.study.mu) == (2.0, 3.0)

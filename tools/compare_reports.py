@@ -9,8 +9,11 @@ Every shipped config (``anisolab/configs/*.cfg`` of either tree) runs as
 each tree, with that tree's own copy of the config.  Then every config in
 ``tools/configs/`` next to this script runs under both trees from that one
 copy; these reach paths that no shipped config does (a time-dependent
-parabolic source, a nonsymmetric sine system).  For every report file one
-line is printed:
+parabolic source, a nonsymmetric sine system).  Last, every config of both
+sets runs again with ``--basis q1``, which reaches the q1 kernels (the grid
+contraction of a 2D coefficient, the nonsymmetric LU route) that no config
+reaches as written; these runs are labelled ``<config> --basis q1``.  For
+every report file one line is printed:
 
 * ``identical``;
 * ``numeric-only``, with the largest change ``|new - old| / max(1, |old|)``
@@ -21,7 +24,7 @@ line is printed:
 The exit status is 1 when a report is missing on one side or its text
 differs, a number moves by more than ``TOLERANCE * max(1, |old|)``, or the
 exit codes, standard output or standard error of a run differ; otherwise 0.
-The closing line counts the configs that agree, shipped and shared apart.
+The closing line counts the runs that agree: shipped, shared and q1 apart.
 Standard library only.
 """
 
@@ -73,18 +76,19 @@ def classify(old: bytes, new: bytes):
     return "numeric-only", max(changes)
 
 
-def run(src: Path, config: Path, out: Path):
+def run(src: Path, config: Path, out: Path, options=()):
     """Exit code, stdout and stderr of one CLI run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", RUN, "run", "--config",
-                           str(config), "--out", str(out)],
+                           str(config), "--out", str(out), *options],
                           env=env, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def compare_config(name: str, old_config: Path, new_config: Path,
-                   old_src: Path, new_src: Path, work: Path) -> bool:
-    """Run one config under both trees, print the per-file lines; True if they agree."""
+                   old_src: Path, new_src: Path, work: Path, options=()) -> bool:
+    """Run one config under both trees with the CLI ``options``, print the
+    per-file lines under ``name``; True if they agree."""
     ok = True
     runs = []
     for side, config, src in (("old", old_config, old_src), ("new", new_config, new_src)):
@@ -92,7 +96,7 @@ def compare_config(name: str, old_config: Path, new_config: Path,
             print(f"{name}: missing in {side} tree")
             return False
         out = work / side / name
-        runs.append((out, run(src, config, out)))
+        runs.append((out, run(src, config, out, options)))
     (old_out, old_run), (new_out, new_run) = runs
     for label, a, b in zip(("exit code", "stdout", "stderr"), old_run, new_run):
         if a != b:
@@ -127,16 +131,21 @@ def main(argv=None) -> int:
     if not names:
         print("no shipped configs found", file=sys.stderr)
         return 2
-    shared = sorted(SHARED_CONFIGS.glob("*.cfg"))
+    configs = ([(n, old_src / "anisolab" / "configs" / n,
+                 new_src / "anisolab" / "configs" / n) for n in names]
+               + [(f"tools/configs/{c.name}", c, c)
+                  for c in sorted(SHARED_CONFIGS.glob("*.cfg"))])
     with tempfile.TemporaryDirectory() as tmp:
-        shipped = [compare_config(n, old_src / "anisolab" / "configs" / n,
-                                  new_src / "anisolab" / "configs" / n,
-                                  old_src, new_src, Path(tmp)) for n in names]
-        extra = [compare_config(f"tools/configs/{c.name}", c, c,
-                                old_src, new_src, Path(tmp)) for c in shared]
-    print(f"{sum(shipped)} of {len(shipped)} shipped configs and "
-          f"{sum(extra)} of {len(extra)} tools/configs agree")
-    return 0 if all(shipped + extra) else 1
+        agree = [compare_config(name, old, new, old_src, new_src, Path(tmp))
+                 for name, old, new in configs]
+        q1 = [compare_config(f"{name} --basis q1", old, new, old_src, new_src,
+                             Path(tmp), ("--basis", "q1"))
+              for name, old, new in configs]
+    shipped, extra = agree[:len(names)], agree[len(names):]
+    print(f"{sum(shipped)} of {len(shipped)} shipped configs, "
+          f"{sum(extra)} of {len(extra)} tools/configs and "
+          f"{sum(q1)} of {len(q1)} --basis q1 runs agree")
+    return 0 if all(agree + q1) else 1
 
 
 if __name__ == "__main__":
