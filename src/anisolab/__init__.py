@@ -20,8 +20,8 @@ from .assembly import (assemble_block_stiffness, assemble_limit_stiffness,
                        write_matrix_market)
 from .linsolve import (SolverConfig, SolveResult, NonConvergenceError,
                        IndefiniteOperatorError, solve)
-from .elliptic import (LIMIT, ProblemSpec, GalerkinSolution, solve_linear,
-                       solve_semilinear, apriori_check, export_solution_csv)
+from .elliptic import (LIMIT, ProblemSpec, GalerkinSolution, galerkin_solve,
+                       solve_linear, solve_semilinear, apriori_check, export_solution_csv)
 from .diagnostics import (error_norms, rate_study, cea_check, ap_diagram,
                           difference_quotient_bound,
                           linear_reaction_rate_study, RateStudy,

@@ -24,7 +24,7 @@ from .coefficients import (HypothesisNotSatisfied, compute_constants,
 from .config import (ConfigError, ExperimentConfig, build_problem_objects,
                      emit_config, load_config, make_space)
 from .elliptic import (ProblemSpec, apriori_check, export_solution_csv,
-                       solve_linear, solve_semilinear)
+                       galerkin_solve)
 from .expressions import parse_expression
 from .linsolve import IndefiniteOperatorError, NonConvergenceError
 from .reports import write_csv, write_summary
@@ -60,11 +60,7 @@ def _run_solve(cfg, problem, outdir, summary):
     problem = problem.with_epsilon(cfg.study.epsilon)
     space = make_space(cfg, problem.domain)
     system = assemble_system(space, problem.coefficients, problem.source)
-    if problem.reaction.kind == "custom":
-        sol = solve_semilinear(problem, space, damping=cfg.study.damping,
-                               system=system)
-    else:
-        sol = solve_linear(problem, space, system=system)
+    sol = galerkin_solve(problem, space, system, damping=cfg.study.damping)
     ledger = _ledger(problem)
     apriori = apriori_check(sol, ledger, problem, system)
     summary["constants"] = ledger.as_dict()

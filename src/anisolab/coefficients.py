@@ -281,8 +281,7 @@ class ReactionSpec:
             raise ValueError(f"reaction must vanish at 0, got {b0:.3g}")
         if np.any(np.diff(b) < -tol):
             raise ValueError("reaction is not nondecreasing on the sample grid")
-        M = self.growth if self.kind != "zero" else 0.0
-        if np.any(np.abs(b) > M * (1.0 + np.abs(s)) + tol):
+        if np.any(np.abs(b) > self.growth * (1.0 + np.abs(s)) + tol):
             raise ValueError("reaction violates the declared linear growth bound")
         return True
 
@@ -467,7 +466,7 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
 
     area_sqrt = math.sqrt(domain.area)
     norm_f = f.norm_l2(domain) if f is not None else 0.0
-    M = reaction.growth if reaction is not None and reaction.kind != "zero" else 0.0
+    M = reaction.growth if reaction is not None else 0.0
 
     cd = domain.poincare_domain
     cea_limit_sq = (2.0 * M * c2 * (area_sqrt + c2 ** 2 * norm_f / lam)

@@ -281,24 +281,28 @@ def _validate(cfg: ExperimentConfig, where: dict):
                     "for a sine basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
         raise error("lambda must be positive", "problem", "lam")
-    if st.u0 is not None and not parse_expression(st.u0).variables <= {"x1", "x2"}:
-        raise error("initial state u0 may depend on x1 and x2 only", "study", "u0")
-    # coefficients on the sample grid of CoefficientField.validate, which
-    # would reject the same values without the key's position; the source,
-    # its x1-partial and the parabolic initial state on the Gauss grid of
-    # integrate_on_domain, which takes their norms, so a source finite there
-    # (sin(x1)/x1) is accepted
+    # [problem] expressions and u0 are functions of x1 and x2 alone (t is the
+    # time of the parabolic source).  Coefficients must be finite on the
+    # sample grid of CoefficientField.validate, which would reject the same
+    # values without the key's position; the source, its x1-partial and the
+    # initial state on the Gauss grid of integrate_on_domain, which takes
+    # their norms, so a source finite there (sin(x1)/x1) is accepted.
     a1, b1, a2, b2 = cfg.problem.domain
     sample = np.linspace(a1, b1, 33), np.linspace(a2, b2, 33)
     gauss = _interval_rule((a1, b1))[0], _interval_rule((a2, b2))[0]
     for what, section, attrs, axes in (
             ("coefficient", "problem", ("a11", "a12", "a21", "a22"), sample),
+            ("coefficient derivative", "problem",
+             ("a12_dx1", "a12_dx2", "a21_dx1", "a21_dx2"), ()),
             ("source", "problem", ("f", "f_dx1"), gauss),
             ("initial state", "study", ("u0",), gauss)):
         for attr in attrs:
             text = getattr(getattr(cfg, section), attr)
             expr = None if text is None else parse_expression(text)
-            if expr is not None and expr.variables <= {"x1", "x2"}:
+            if expr is not None and not expr.variables <= {"x1", "x2"}:
+                raise error(f"{what} {attr} may depend on x1 and x2 only",
+                            section, attr)
+            if expr is not None and axes:
                 with np.errstate(all="ignore"):
                     values = grid_values(lambda u, v: expr(x1=u, x2=v), *axes)
                 if not np.all(np.isfinite(values)):

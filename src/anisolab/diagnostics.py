@@ -23,10 +23,9 @@ from .assembly import (AssembledProblem, KronOperator, assemble_system,
                        energy_norm, norm_matrices, project)
 from .coefficients import (ConstantLedger, HypothesisNotSatisfied, ReactionSpec,
                            grid_values, missing_hypotheses)
-from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, solve_linear,
-                       solve_semilinear)
+from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, galerkin_solve,
+                       solve_linear, within_bound)
 from .linsolve import SolverConfig
-from .parallel import parallel_map
 from .spaces import GalerkinSpace, embedding_matrix
 
 __all__ = [
@@ -109,8 +108,7 @@ class RateStudy:
 def rate_study(problem: ProblemSpec, space: GalerkinSpace,
                epsilons: Sequence[float], reference="limit",
                check_bound: bool = True, ledger=None,
-               system: Optional[AssembledProblem] = None,
-               solver: Optional[SolverConfig] = None) -> RateStudy:
+               system: Optional[AssembledProblem] = None) -> RateStudy:
     """Errors against the limit solution for a decreasing epsilon family.
 
     ``reference`` is either ``"limit"`` (limit Galerkin solve on the same
@@ -121,15 +119,13 @@ def rate_study(problem: ProblemSpec, space: GalerkinSpace,
     if system is None:
         system = assemble_system(space, problem.coefficients, problem.source)
     if isinstance(reference, str) and reference == "limit":
-        u_ref = solve_linear(problem.with_epsilon(LIMIT), space, solver, system)
+        u_ref = solve_linear(problem.with_epsilon(LIMIT), space, system=system)
     else:
         u_ref = GalerkinSolution(space, np.asarray(reference, dtype=float), "limit")
 
-    def one(eps):
-        u_eps = solve_linear(problem.with_epsilon(eps), space, solver, system)
-        return error_norms(u_eps, u_ref)
-
-    results = parallel_map(one, list(epsilons))
+    results = [error_norms(solve_linear(problem.with_epsilon(eps), space,
+                                        system=system), u_ref)
+               for eps in epsilons]
     e_x1 = [r[0] for r in results]
     e_x2 = [r[1] for r in results]
     e_l2 = [r[2] for r in results]
@@ -156,7 +152,7 @@ def rate_study(problem: ProblemSpec, space: GalerkinSpace,
         study.bound = [const * e for e in epsilons]
         study.bound_galerkin = [const_galerkin * e for e in epsilons]
         study.bound_verdict = all(
-            e2 <= b * (1.0 + 1e-9) + 1e-12 for e2, b in zip(e_x2, study.bound))
+            within_bound(e2, b) for e2, b in zip(e_x2, study.bound))
     return study
 
 
@@ -172,7 +168,7 @@ class CeaRow:
 
     @property
     def passed(self) -> bool:
-        return self.galerkin_error <= self.bound_rhs * (1.0 + 1e-9) + 1e-12
+        return within_bound(self.galerkin_error, self.bound_rhs)
 
 
 @dataclass
@@ -195,34 +191,25 @@ def _best_approx_error(G_ref, u_ref_coeffs, E):
 
 
 def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
-              reference_space: Optional[GalerkinSpace] = None,
-              ledger=None, damping: float = 0.5,
+              damping: float = 0.5,
               solver: Optional[SolverConfig] = None) -> CeaReport:
     """Galerkin error against best-approximation error on nested spaces.
 
-    The reference solution lives on a strictly finer space (default: the
-    last space refined once).  Linear problems are checked against the
-    quotient constant; a custom reaction is checked against the square-root
-    quasi-optimality bound.
+    The reference solution lives on the last space refined once.  Linear
+    problems are checked against the quotient constant; a custom reaction
+    is checked against the square-root quasi-optimality bound.
     """
-    if reference_space is None:
-        reference_space = spaces[-1].refine(2)
+    reference_space = spaces[-1].refine(2)
     ref_system = assemble_system(reference_space, problem.coefficients,
                                  problem.source)
     nonlinear = problem.reaction.kind == "custom"
-    if nonlinear:
-        if not problem.is_limit:
-            raise ValueError("square-root quasi-optimality check targets the "
-                             "limit problem")
-        u_ref = solve_semilinear(problem, reference_space, damping=damping,
-                                 system=ref_system)
-    else:
-        u_ref = solve_linear(problem, reference_space, solver, ref_system)
+    if nonlinear and not problem.is_limit:
+        raise ValueError("square-root quasi-optimality check targets the "
+                         "limit problem")
+    u_ref = galerkin_solve(problem, reference_space, ref_system, solver, damping)
 
-    if ledger is None:
-        ledger = coefficients.compute_constants(
-            problem.coefficients, problem.domain, problem.source,
-            problem.reaction)
+    ledger = coefficients.compute_constants(
+        problem.coefficients, problem.domain, problem.source, problem.reaction)
     if nonlinear:
         kind = "limit-sqrt"
         G_ref = ref_system.G2.tocsr()
@@ -240,11 +227,7 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
     rows = []
     for space in spaces:
         E = embedding_matrix(space, reference_space)
-        system = assemble_system(space, problem.coefficients, problem.source)
-        if nonlinear:
-            u_v = solve_semilinear(problem, space, damping=damping, system=system)
-        else:
-            u_v = solve_linear(problem, space, solver, system)
+        u_v = galerkin_solve(problem, space, solver=solver, damping=damping)
         gal_err = energy_norm(G_ref, u_ref.coeffs - E @ u_v.coeffs)
         best_err = _best_approx_error(G_ref, u_ref.coeffs, E)
         rhs = constant * math.sqrt(best_err) if nonlinear else constant * best_err
@@ -267,12 +250,12 @@ class APDiagramReport:
 
     @property
     def row_monotone(self) -> bool:
-        return all(b <= a * (1.0 + 1e-9) + 1e-12
+        return all(within_bound(b, a)
                    for a, b in zip(self.row_trace, self.row_trace[1:]))
 
     @property
     def col_monotone(self) -> bool:
-        return all(b <= a * (1.0 + 1e-9) + 1e-12
+        return all(within_bound(b, a)
                    for a, b in zip(self.col_trace, self.col_trace[1:]))
 
     @property
@@ -281,25 +264,23 @@ class APDiagramReport:
 
 
 def ap_diagram(problem: ProblemSpec, epsilons: Sequence[float],
-               spaces: Sequence[GalerkinSpace],
-               reference_space: Optional[GalerkinSpace] = None,
-               solver: Optional[SolverConfig] = None) -> APDiagramReport:
+               spaces: Sequence[GalerkinSpace]) -> APDiagramReport:
     """Fill the (epsilon, space) error grid and both iterated-limit traces.
 
     One trace follows the finest space while epsilon decreases; the other
     follows the exact discrete limit solves while the space grows.  Both must
     reach the same corner, and their terminal disagreement is the
-    commutation gap.
+    commutation gap.  The reference is the limit solve on the finest space
+    refined once.
     """
     missing = missing_hypotheses("ap", problem.coefficients)
     if missing:
         raise HypothesisNotSatisfied(missing)
-    if reference_space is None:
-        reference_space = spaces[-1].refine(2)
+    reference_space = spaces[-1].refine(2)
     ref_system = assemble_system(reference_space, problem.coefficients,
                                  problem.source)
-    u_ref = solve_linear(problem.with_epsilon(LIMIT), reference_space, solver,
-                         ref_system)
+    u_ref = solve_linear(problem.with_epsilon(LIMIT), reference_space,
+                         system=ref_system)
     G_ref = ref_system.G2
 
     def err_against_ref(E, sol):
@@ -311,11 +292,11 @@ def ap_diagram(problem: ProblemSpec, epsilons: Sequence[float],
     grid = np.zeros((len(epsilons), len(spaces)))
     for j, (space, system, E) in enumerate(zip(spaces, systems, embeddings)):
         for i, eps in enumerate(epsilons):
-            sol = solve_linear(problem.with_epsilon(eps), space, solver, system)
+            sol = solve_linear(problem.with_epsilon(eps), space, system=system)
             grid[i, j] = err_against_ref(E, sol)
     col_trace = []
     for space, system, E in zip(spaces, systems, embeddings):
-        sol = solve_linear(problem.with_epsilon(LIMIT), space, solver, system)
+        sol = solve_linear(problem.with_epsilon(LIMIT), space, system=system)
         col_trace.append(err_against_ref(E, sol))
     row_trace = list(grid[:, -1])
     gap = abs(row_trace[-1] - col_trace[-1])
@@ -336,16 +317,15 @@ class DQReport:
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-9) + 1e-12
+        return within_bound(self.lhs, self.rhs)
 
     @property
     def statement_passed(self) -> bool:
-        return self.lhs <= self.rhs_statement * (1.0 + 1e-9) + 1e-12
+        return within_bound(self.lhs, self.rhs_statement)
 
 
-def difference_quotient_bound(problem: ProblemSpec, space: GalerkinSpace,
-                              ledger=None,
-                              solver: Optional[SolverConfig] = None) -> DQReport:
+def difference_quotient_bound(problem: ProblemSpec,
+                              space: GalerkinSpace) -> DQReport:
     """First-direction gradient of the limit solve against the shift bound.
 
     Requires an x2-only a22 and a square-integrable x1-gradient of the
@@ -356,13 +336,11 @@ def difference_quotient_bound(problem: ProblemSpec, space: GalerkinSpace,
     if missing:
         raise HypothesisNotSatisfied(missing)
     system = assemble_system(space, problem.coefficients, problem.source)
-    sol = solve_linear(problem.with_epsilon(LIMIT), space, solver, system)
+    sol = solve_linear(problem.with_epsilon(LIMIT), space, system=system)
     lhs = energy_norm(system.G1, sol.coeffs)
     grad_f = problem.source.norm_grad_x1(problem.domain)
-    if ledger is None:
-        ledger = coefficients.compute_constants(
-            problem.coefficients, problem.domain, problem.source,
-            problem.reaction)
+    ledger = coefficients.compute_constants(
+        problem.coefficients, problem.domain, problem.source, problem.reaction)
     f_proj = project(space, problem.source)
     grad_f_inspace = energy_norm(system.G1, f_proj)
     return DQReport(
@@ -391,8 +369,7 @@ class LinearReactionStudy:
 
 def linear_reaction_rate_study(problem: ProblemSpec, space: GalerkinSpace,
                                epsilons: Sequence[float],
-                               mus: Sequence[float] = (1.0, 10.0, 100.0),
-                               solver: Optional[SolverConfig] = None
+                               mus: Sequence[float] = (1.0, 10.0, 100.0)
                                ) -> LinearReactionStudy:
     """Rate study with a linear reaction, swept over the reaction slope.
 
@@ -410,8 +387,7 @@ def linear_reaction_rate_study(problem: ProblemSpec, space: GalerkinSpace,
     system = assemble_system(space, problem.coefficients, problem.source)
     for mu in mus:
         p = problem.with_reaction(ReactionSpec.linear(mu))
-        rs = rate_study(p, space, epsilons, check_bound=False, system=system,
-                        solver=solver)
+        rs = rate_study(p, space, epsilons, check_bound=False, system=system)
         study.studies[mu] = rs
         study.scaled[mu] = [e * mu / eps for e, eps in zip(rs.e_x2, epsilons)]
     mus_sorted = sorted(mus)

@@ -1,6 +1,10 @@
 """Galerkin solves of the perturbed problem, its reduced limit, and the
 semilinear variants via damped Picard iteration.
 
+:func:`galerkin_solve` is the one entry point for every reaction: it hands a
+custom reaction to :func:`solve_semilinear` and a zero or linear one to
+:func:`solve_linear`.
+
 The perturbed linear system is ``(mu M + K_eps) u = F`` and the limit system
 is ``(mu M + K22) u = F``.  For a custom monotone reaction the fixed point
 
@@ -31,10 +35,12 @@ __all__ = [
     "LIMIT",
     "ProblemSpec",
     "GalerkinSolution",
+    "galerkin_solve",
     "solve_linear",
     "solve_semilinear",
     "apriori_check",
     "AprioriReport",
+    "within_bound",
     "export_solution_csv",
 ]
 
@@ -102,12 +108,37 @@ class GalerkinSolution:
         return self.space.evaluate(self.coeffs, x1, x2)
 
 
+def _system_and_load(problem: ProblemSpec, space: GalerkinSpace,
+                     system: Optional[AssembledProblem]):
+    """The given system (else the problem's) and its load (else zero)."""
+    if system is None:
+        system = assemble_system(space, problem.coefficients, problem.source)
+    F = system.F if system.F is not None else np.zeros(space.dim)
+    return system, F
+
+
+def _solution(problem: ProblemSpec, space: GalerkinSpace, coeffs, **extra):
+    return GalerkinSolution(space, coeffs, "limit" if problem.is_limit else "perturbed",
+                            None if problem.is_limit else problem.epsilon, **extra)
+
+
 def _linear_system(problem: ProblemSpec, system: AssembledProblem):
     """The problem's factored system operator and its tensor preconditioner."""
     epsilon = None if problem.is_limit else problem.epsilon
     e2 = 0.0 if problem.is_limit else problem.epsilon ** 2
-    mu = problem.reaction.mu if problem.reaction.kind == "linear" else 0.0
+    mu = problem.reaction.mu
     return system.operator(epsilon, mu), system.tensor_preconditioner(e2, mu)
+
+
+def galerkin_solve(problem: ProblemSpec, space: GalerkinSpace,
+                   system: Optional[AssembledProblem] = None,
+                   solver: Optional[SolverConfig] = None,
+                   damping: float = 1.0) -> GalerkinSolution:
+    """Damped Picard (:func:`solve_semilinear`) for a custom reaction, else
+    preconditioned CG (:func:`solve_linear`) with the solver configuration."""
+    if problem.reaction.kind == "custom":
+        return solve_semilinear(problem, space, damping=damping, system=system)
+    return solve_linear(problem, space, solver, system)
 
 
 def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
@@ -122,19 +153,14 @@ def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
     """
     if problem.reaction.kind == "custom":
         raise ValueError("custom reactions require solve_semilinear")
-    if system is None:
-        system = assemble_system(space, problem.coefficients, problem.source)
-    F = system.F if system.F is not None else np.zeros(space.dim)
+    system, F = _system_and_load(problem, space, system)
     K, precond = _linear_system(problem, system)
     result = solve(K, F, solver, precond=precond)
     norm_f = np.linalg.norm(F)
     rel = result.residual_norm / norm_f if norm_f else 0.0
     if rel > GALERKIN_RESIDUAL_TOL:
         raise NonConvergenceError(result.x, result.residual_norm, result.iterations)
-    kind = "limit" if problem.is_limit else "perturbed"
-    return GalerkinSolution(space, result.x, kind,
-                            None if problem.is_limit else problem.epsilon,
-                            final_residual=rel)
+    return _solution(problem, space, result.x, final_residual=rel)
 
 
 def reaction_load(space: GalerkinSpace, reaction: ReactionSpec, coeffs):
@@ -147,46 +173,48 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
                      max_picard: int = 200,
                      system: Optional[AssembledProblem] = None,
                      initial=None) -> GalerkinSolution:
-    """Damped Picard iteration for a custom monotone Lipschitz reaction."""
+    """Damped Picard iteration for a custom monotone Lipschitz reaction.
+
+    The load and step of the accepted iterate are kept, so an iteration
+    evaluates the reaction once and a halving does not solve again.
+    """
     if not (0.0 < damping <= 1.0):
         raise ValueError("damping must lie in (0, 1]")
     if problem.reaction.kind != "custom":
         raise ValueError("solve_semilinear expects a custom reaction")
-    if system is None:
-        system = assemble_system(space, problem.coefficients, problem.source)
-    F = system.F if system.F is not None else np.zeros(space.dim)
+    system, F = _system_and_load(problem, space, system)
     K = system.limit_stiffness() if problem.is_limit else system.stiffness(problem.epsilon)
     lu = spla.splu(K.tocsc())
-    norm_f = np.linalg.norm(F)
-    scale = norm_f if norm_f else 1.0
-
-    def residual(u):
-        return np.linalg.norm(K @ u + reaction_load(space, problem.reaction, u) - F)
-
+    scale = np.linalg.norm(F) or 1.0
     u = np.zeros(space.dim) if initial is None else np.array(initial, dtype=float)
-    res = residual(u)
+    load = reaction_load(space, problem.reaction, u)
+    res = np.linalg.norm(K @ u + load - F)
+    step = lu.solve(F - load)
     history = [res]
     theta = damping
     halvings = 0
     for it in range(1, max_picard + 1):
-        step = lu.solve(F - reaction_load(space, problem.reaction, u))
         u_new = (1.0 - theta) * u + theta * step
-        res_new = residual(u_new)
+        load_new = reaction_load(space, problem.reaction, u_new)
+        res_new = np.linalg.norm(K @ u_new + load_new - F)
         if res_new > res and halvings < 6:
             theta *= 0.5
             halvings += 1
             continue
-        u, res = u_new, res_new
+        u, load, res = u_new, load_new, res_new
         history.append(res)
         if res <= tol * scale:
-            kind = "limit" if problem.is_limit else "perturbed"
-            return GalerkinSolution(space, u, kind,
-                                    None if problem.is_limit else problem.epsilon,
-                                    picard_iterations=it,
-                                    final_residual=res / scale,
-                                    residual_history=history)
+            return _solution(problem, space, u, picard_iterations=it,
+                             final_residual=res / scale,
+                             residual_history=history)
+        step = lu.solve(F - load)
     raise NonConvergenceError(
         u, res, max_picard, hint="retry with a smaller damping factor")
+
+
+def within_bound(lhs, rhs) -> bool:
+    """``lhs <= rhs`` up to a relative slack of 1e-9 and an absolute 1e-12."""
+    return lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
 
 @dataclass
@@ -197,7 +225,7 @@ class BoundCheck:
 
     @property
     def passed(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-9) + 1e-12
+        return within_bound(self.lhs, self.rhs)
 
 
 @dataclass
@@ -228,12 +256,7 @@ def apriori_check(sol: GalerkinSolution, ledger: ConstantLedger,
     grad2 = energy_norm(system.G2, u)
     beta_vals = problem.reaction.beta(sol.space.on_grid(u))
     beta_norm = float(np.sqrt(max(sol.space.integrate(beta_vals ** 2), 0.0)))
-    if problem.reaction.kind == "zero":
-        M = 0.0
-    elif problem.reaction.kind == "linear":
-        M = problem.reaction.mu
-    else:
-        M = problem.reaction.growth
+    M = problem.reaction.growth
 
     checks = []
     if sol.kind == "perturbed":

@@ -27,7 +27,7 @@ from .assembly import (AssembledProblem, assemble_system, energy_norm,
 from .coefficients import (CoefficientField, HypothesisNotSatisfied, SourceField,
                            missing_hypotheses)
 from .diagnostics import fit_slope
-from .elliptic import LIMIT
+from .elliptic import LIMIT, within_bound
 from .spaces import BasisFamily1D, GalerkinSpace
 
 __all__ = [
@@ -495,7 +495,7 @@ class ParabolicReport:
     @property
     def monotone(self) -> bool:
         devs = [r.sup_deviation for r in self.rows]
-        return all(b <= a * (1.0 + 1e-9) + 1e-12 for a, b in zip(devs, devs[1:]))
+        return all(within_bound(b, a) for a, b in zip(devs, devs[1:]))
 
     @property
     def final_below_tol(self) -> bool:

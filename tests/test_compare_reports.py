@@ -39,7 +39,13 @@ def test_shared_configs_reach_paths_no_shipped_config_does():
 
     configs = {p.name: load_config(p)
                for p in sorted(compare_reports.SHARED_CONFIGS.glob("*.cfg"))}
-    assert set(configs) == {"parabolic_source.cfg", "solve_nonsymmetric.cfg"}
+    assert set(configs) == {"parabolic_source.cfg", "solve_nonsymmetric.cfg",
+                            "solve_arctan.cfg", "cea_arctan.cfg",
+                            "rate_linear.cfg"}
     assert configs["parabolic_source.cfg"].study.source is not None
     problem = configs["solve_nonsymmetric.cfg"].problem
     assert problem.a12 != problem.a21
+    for name, kind, beta in (("solve_arctan.cfg", "solve", "arctan"),
+                             ("cea_arctan.cfg", "cea", "arctan"),
+                             ("rate_linear.cfg", "rate", "linear")):
+        assert (configs[name].study.kind, configs[name].problem.beta) == (kind, beta)

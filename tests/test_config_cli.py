@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from anisolab.linsolve import IndefiniteOperatorError, NonConvergenceError
 from anisolab.semigroup import ContractionError, StepperAccuracyError
 
 CONFIG_DIR = shipped_config_dir()
+TOOL_CONFIG_DIR = Path(__file__).resolve().parents[1] / "tools" / "configs"
 
 MINIMAL = """
 [problem]
@@ -491,3 +493,64 @@ class TestRepeatedKey:
     def test_same_key_in_two_sections_is_accepted(self):
         cfg = parse_config("[problem]\nmu = 2\n[study]\nmu = 3\n")
         assert (cfg.problem.mu, cfg.study.mu) == (2.0, 3.0)
+
+
+class TestProblemExpressionVariables:
+    # a [problem] expression with a variable besides x1 and x2 used to skip
+    # the finiteness check and end with an error that named no line
+    @pytest.mark.parametrize("key,value,message", [
+        ("f", "t*(2/pi)*sin(x1)*sin(x2)", "source f"),
+        ("f_dx1", "t*(2/pi)*cos(x1)*sin(x2)", "source f_dx1"),
+        ("a12", "t*x1", "coefficient a12"),
+        ("a22", "1 + t*x2", "coefficient a22"),
+        ("a12_dx1", "t", "coefficient derivative a12_dx1"),
+    ])
+    def test_config_error_at_the_key(self, tmp_path, capsys, key, value,
+                                     message):
+        lines = (CONFIG_DIR / "solve_identity.cfg").read_text().splitlines()
+        at = next((i for i, line in enumerate(lines)
+                   if line.startswith(f"{key} = ")), None)
+        if at is None:  # a key the config leaves out goes after a12
+            at = next(i for i, line in enumerate(lines)
+                      if line.startswith("a12 = ")) + 1
+            lines.insert(at, "")
+        lines[at] = f'{key} = "{value}"'
+        cfg_path = tmp_path / "vars.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        message += " may depend on x1 and x2 only"
+        with pytest.raises(ConfigError, match=message) as err:
+            load_config(cfg_path)
+        assert (err.value.line, err.value.column) == (at + 1, 1)
+        code = main(["run", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: line {at + 1}, column 1: "
+                                           f"{message}\n")
+
+
+class TestCustomReactionStudies:
+    def test_solve_runs_damped_picard(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(TOOL_CONFIG_DIR / "solve_arctan.cfg"),
+                     "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["solve"]["picard_iterations"] > 0
+        assert summary["verdicts"] == {"apriori_bounds": True,
+                                       "residual_contract": True}
+
+    def test_cea_check_takes_the_square_root_bound(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(TOOL_CONFIG_DIR / "cea_arctan.cfg"),
+                     "--out", str(out)])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["cea"]["kind"] == "limit-sqrt"
+
+    @pytest.mark.parametrize("command", ["rate-study", "ap-check", "dq-check"])
+    def test_linear_only_studies_refuse(self, tmp_path, capsys, command):
+        code = main([command, "--config", str(TOOL_CONFIG_DIR / "solve_arctan.cfg"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: custom reactions require "
+                                           "solve_semilinear\n")

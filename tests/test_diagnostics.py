@@ -114,6 +114,26 @@ class TestRateStudy:
             assert abs(a - b) / a < 1e-3  # three significant digits
         assert abs(s.e_x2[2] - q.e_x2[2]) / s.e_x2[2] < 2e-2
 
+    def test_sweep_runs_in_order_on_the_calling_thread(self, monkeypatch, dom,
+                                                        A_identity, f_mode11,
+                                                        sine8):
+        import threading
+
+        import anisolab.diagnostics as diagnostics
+        monkeypatch.setenv("ANISO_THREADS", "4")
+        calls = []
+        original = diagnostics.solve_linear
+
+        def recording(problem, *args, **kwargs):
+            calls.append((problem.epsilon, threading.current_thread()))
+            return original(problem, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "solve_linear", recording)
+        prob = zero_reaction_problem(dom, A_identity, f_mode11)
+        rate_study(prob, sine8, EPS_LIST[:4], check_bound=False)
+        assert [eps for eps, _ in calls] == [LIMIT] + EPS_LIST[:4]
+        assert all(t is threading.main_thread() for _, t in calls)
+
 
 class TestFitSlope:
     def test_pure_power_law(self):
@@ -167,6 +187,26 @@ class TestCeaCheck:
         report = cea_check(spaces, prob, damping=0.5)
         assert report.kind == "limit-sqrt"
         assert report.all_passed
+
+    def test_every_space_solves_through_galerkin_solve(self, monkeypatch, dom,
+                                                       A_identity, f_mode11):
+        import anisolab.diagnostics as diagnostics
+        seen = []
+        original = diagnostics.galerkin_solve
+
+        def recording(problem, space, *args, **kwargs):
+            seen.append(space.basis1.m)
+            return original(problem, space, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "galerkin_solve", recording)
+        spaces = [build_space(dom, "q1", m, "q1", m) for m in (4, 8)]
+        for reaction in (ReactionSpec.zero(), ReactionSpec.arctan()):
+            seen.clear()
+            prob = ProblemSpec(dom, A_identity, f_mode11, reaction, LIMIT)
+            report = cea_check(spaces, prob)
+            assert report.all_passed
+            # the reference on the finest space refined once, then each space
+            assert seen == [16, 4, 8]
 
     def test_perturbed_linear_constant(self, dom, A_identity):
         rich = SourceField(as_field(

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from anisolab.assembly import assemble_system
 from anisolab.coefficients import ReactionSpec, compute_constants
 from anisolab.diagnostics import error_norms
-from anisolab.elliptic import (LIMIT, ProblemSpec, apriori_check, solve_linear,
-                               solve_semilinear)
-from anisolab.linsolve import NonConvergenceError
+from anisolab.elliptic import (LIMIT, ProblemSpec, apriori_check,
+                               galerkin_solve, solve_linear, solve_semilinear,
+                               within_bound)
+from anisolab.linsolve import NonConvergenceError, SolverConfig
 from conftest import mode_source
 
 PI = math.pi
@@ -159,6 +161,125 @@ class TestSemilinearSolves:
         prob = ProblemSpec(dom, A_identity, f_mode11, ReactionSpec.arctan(), LIMIT)
         with pytest.raises(ValueError, match="damping"):
             solve_semilinear(prob, sine8, damping=0.0)
+
+
+class TestPicardWork:
+    # beta = 3 tanh on the perturbed problem at eps = 1 halves the undamped
+    # step once; beta = tanh on the limit problem at damping 0.5 halves none
+    CASES = [(1.0, 3.0, 1.0, True), (LIMIT, 1.0, 0.5, False)]
+
+    @staticmethod
+    def counting_tanh(slope):
+        calls = []
+
+        def beta(s):
+            calls.append(1)
+            return slope * np.tanh(s)
+
+        return ReactionSpec.custom(beta, lipschitz=slope, growth=slope), calls
+
+    @pytest.mark.parametrize("eps,slope,damping,halved", CASES)
+    def test_reaction_evaluated_once_per_iteration(self, dom, A_identity, q1_8,
+                                                   eps, slope, damping, halved):
+        reaction, calls = self.counting_tanh(slope)
+        prob = ProblemSpec(dom, A_identity, mode_source(1, 1), reaction, eps)
+        sol = solve_semilinear(prob, q1_8, damping=damping)
+        accepted = len(sol.residual_history) - 1
+        assert (accepted < sol.picard_iterations) is halved
+        assert len(calls) == sol.picard_iterations + 1
+
+    @pytest.mark.parametrize("eps,slope,damping,halved", CASES)
+    def test_matches_the_plain_iteration_bit_for_bit(self, dom, A_identity, q1_8,
+                                                     eps, slope, damping, halved):
+        # the plain loop evaluates the residual and the step afresh for
+        # every iterate, halvings included; keeping them must change nothing
+        from anisolab.elliptic import reaction_load
+        reaction, _ = self.counting_tanh(slope)
+        f = mode_source(1, 1)
+        prob = ProblemSpec(dom, A_identity, f, reaction, eps)
+        system = assemble_system(q1_8, A_identity, f)
+        sol = solve_semilinear(prob, q1_8, damping=damping, system=system)
+
+        K = system.limit_stiffness() if eps is LIMIT else system.stiffness(eps)
+        lu = spla.splu(K.tocsc())
+        F = system.F
+
+        def residual(u):
+            return np.linalg.norm(K @ u + reaction_load(q1_8, reaction, u) - F)
+
+        u = np.zeros(q1_8.dim)
+        res = residual(u)
+        history, theta, halvings = [res], damping, 0
+        for it in range(1, 201):
+            step = lu.solve(F - reaction_load(q1_8, reaction, u))
+            u_new = (1.0 - theta) * u + theta * step
+            res_new = residual(u_new)
+            if res_new > res and halvings < 6:
+                theta *= 0.5
+                halvings += 1
+                continue
+            u, res = u_new, res_new
+            history.append(res)
+            if res <= 1e-9 * np.linalg.norm(F):
+                break
+        assert (halvings > 0) is halved
+        assert sol.picard_iterations == it
+        assert np.array_equal(sol.coeffs, u)
+        assert np.array_equal(sol.residual_history, history)
+
+
+class TestGalerkinSolve:
+    def test_custom_reaction_takes_damped_picard(self, dom, A_identity, q1_8):
+        prob = ProblemSpec(dom, A_identity, mode_source(1, 1),
+                           ReactionSpec.arctan(), LIMIT)
+        sol = galerkin_solve(prob, q1_8, damping=0.5)
+        ref = solve_semilinear(prob, q1_8, damping=0.5)
+        assert sol.picard_iterations == ref.picard_iterations > 0
+        assert np.array_equal(sol.coeffs, ref.coeffs)
+
+    @pytest.mark.parametrize("reaction", [ReactionSpec.zero(),
+                                          ReactionSpec.linear(2.0)])
+    def test_linear_reaction_takes_the_solver_config(self, dom, A_identity,
+                                                     f_mode11, sine8, reaction):
+        prob = ProblemSpec(dom, A_identity, f_mode11, reaction, 0.5)
+        dense = SolverConfig(method="dense")
+        sol = galerkin_solve(prob, sine8, solver=dense, damping=0.25)
+        ref = solve_linear(prob, sine8, dense)
+        assert sol.kind == "perturbed" and sol.epsilon == 0.5
+        assert sol.picard_iterations == 0
+        assert np.array_equal(sol.coeffs, ref.coeffs)
+
+    def test_calls_the_solvers_through_the_module(self, monkeypatch, dom,
+                                                  A_identity, f_mode11, sine8):
+        # wrappers set on the module see every solve
+        import anisolab.elliptic as elliptic
+        seen = []
+        for name in ("solve_linear", "solve_semilinear"):
+            original = getattr(elliptic, name)
+
+            def wrapped(*args, _name=name, _original=original, **kwargs):
+                seen.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(elliptic, name, wrapped)
+        system = assemble_system(sine8, A_identity, f_mode11)
+        for reaction in (ReactionSpec.zero(), ReactionSpec.arctan()):
+            prob = ProblemSpec(dom, A_identity, f_mode11, reaction, LIMIT)
+            galerkin_solve(prob, sine8, system, damping=0.5)
+        assert seen == ["solve_linear", "solve_semilinear"]
+
+
+class TestBoundSlack:
+    @pytest.mark.parametrize("lhs,rhs,passed", [
+        (1.0, 1.0, True),
+        (1.0 + 5e-10, 1.0, True),
+        (1.0 + 2e-9, 1.0, False),
+        (5e-13, 0.0, True),
+        (2e-12, 0.0, False),
+        (0.0, 1.0, True),
+    ])
+    def test_relative_and_absolute_slack(self, lhs, rhs, passed):
+        assert within_bound(lhs, rhs) is passed
 
 
 class TestSolutionExport:

@@ -9,10 +9,12 @@ Every shipped config (``anisolab/configs/*.cfg`` of either tree) runs as
 each tree, with that tree's own copy of the config.  Then every config in
 ``tools/configs/`` next to this script runs under both trees from that one
 copy; these reach paths that no shipped config does (a time-dependent
-parabolic source, a nonsymmetric sine system).  Last, every config of both
-sets runs again with ``--basis q1``, which reaches the q1 kernels (the grid
-contraction of a 2D coefficient, the nonsymmetric LU route) that no config
-reaches as written; these runs are labelled ``<config> --basis q1``.  For
+parabolic source, a nonsymmetric sine system, damped Picard solves of the
+arctan reaction, a rate study with a linear reaction).  Last, every config
+of both sets runs again with ``--basis q1``, which reaches the q1 kernels
+(the grid contraction of a 2D coefficient, the nonsymmetric LU route) that
+no config reaches as written; these runs are labelled
+``<config> --basis q1``.  For
 every report file one line is printed:
 
 * ``identical``;
