@@ -396,8 +396,9 @@ class AssembledProblem:
     """All operators of one (space, coefficients) pair, plus an optional load.
 
     The blocks ``K11 ... K22`` and the norm matrices ``M, G1, G2`` are
-    :class:`KronOperator`; :meth:`operator` combines them for the solves and
-    :meth:`stiffness` materialises the same combination as CSR.
+    :class:`KronOperator`.  An operator is named by the key ``(epsilon, mu)``,
+    ``epsilon`` None for the limit: :meth:`operator` builds it, and
+    :meth:`tensor_preconditioner` the preconditioner of the same key.
     """
 
     space: GalerkinSpace
@@ -452,11 +453,13 @@ class AssembledProblem:
         """``(Q1, lam1, Q2, lam2)``: both 1D eigenbases, built once per system."""
         return pencil_eigenbasis(self.space, 1) + pencil_eigenbasis(self.space, 2)
 
-    def tensor_preconditioner(self, e2: float, mu: float):
+    def tensor_preconditioner(self, epsilon: Optional[float] = None,
+                              mu: float = 0.0):
         """Inverse of the identity-coefficient operator
-        ``e2 S1(x)M2 + M1(x)S2 + mu M1(x)M2`` as a callable, by fast
-        diagonalisation: ``(Q1(x)Q2) diag(1 / (e2 lam1_i + lam2_j + mu)) (Q1(x)Q2)^T``.
-        """
+        ``e2 S1(x)M2 + M1(x)S2 + mu M1(x)M2``, ``e2 = epsilon^2`` (0 in the
+        limit), as a callable, by fast diagonalisation:
+        ``(Q1(x)Q2) diag(1 / (e2 lam1_i + lam2_j + mu)) (Q1(x)Q2)^T``."""
+        e2 = 0.0 if epsilon is None else epsilon ** 2
         Q1, lam1, Q2, lam2 = self.eigenbasis
         inv = 1.0 / (e2 * lam1[:, None] + lam2[None, :] + mu)
         shape = (lam1.size, lam2.size)

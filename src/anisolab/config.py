@@ -276,6 +276,18 @@ def _validate(cfg: ExperimentConfig, where: dict):
         if getattr(d, attr) not in ("sine", "q1"):
             raise error("basis kinds must be 'sine' or 'q1'",
                         "discretization", attr)
+    # a sine family needs 1 mode and a q1 family 2 subintervals; the sizes
+    # of a study set both directions
+    least = {"sine": 1, "q1": 2}
+    for section, attr, kinds in (("discretization", "m1", (d.basis1,)),
+                                 ("discretization", "m2", (d.basis2,)),
+                                 ("study", "sizes", (d.basis1, d.basis2))):
+        kind = max(kinds, key=least.get)
+        value = getattr(getattr(cfg, section), attr)
+        for m in value if attr == "sizes" else (value,):
+            if m < least[kind]:
+                raise error(f"{attr} must be >= {least[kind]} for a {kind} "
+                            f"basis, got {m}", section, attr)
     if "sine" in (d.basis1, d.basis2) and d.quad_order < SINE_MIN_QUAD_ORDER:
         raise error(f"quad_order must be >= {SINE_MIN_QUAD_ORDER} "
                     "for a sine basis", "discretization", "quad_order")
@@ -399,5 +411,5 @@ def build_problem_objects(cfg: ExperimentConfig):
 def make_space(cfg: ExperimentConfig, domain: TensorDomain,
                m1: Optional[int] = None, m2: Optional[int] = None) -> GalerkinSpace:
     d = cfg.discretization
-    return build_space(domain, d.basis1, m1 or d.m1, d.basis2, m2 or d.m2,
-                       d.quad_order)
+    return build_space(domain, d.basis1, d.m1 if m1 is None else m1,
+                       d.basis2, d.m2 if m2 is None else m2, d.quad_order)

@@ -6,7 +6,10 @@ custom reaction to :func:`solve_semilinear` and a zero or linear one to
 :func:`solve_linear`.
 
 The perturbed linear system is ``(mu M + K_eps) u = F`` and the limit system
-is ``(mu M + K22) u = F``.  For a custom monotone reaction the fixed point
+is ``(mu M + K22) u = F``: the key ``(epsilon, mu)``, with :data:`LIMIT`
+(``None``) as the limit's epsilon, goes unchanged to
+:meth:`AssembledProblem.operator` and its ``tensor_preconditioner``.  For a
+custom monotone reaction the fixed point
 
     u  <-  solve(K u = F - B(u_prev)),     damped by theta in (0, 1],
 
@@ -20,7 +23,7 @@ taken from the underlying theory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -47,21 +50,8 @@ __all__ = [
 GALERKIN_RESIDUAL_TOL = 1e-9
 
 
-class _Limit:
-    """Sentinel for the reduced problem (formal epsilon -> 0)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "LIMIT"
-
-
-LIMIT = _Limit()
+# epsilon of the reduced problem (formal epsilon -> 0)
+LIMIT = None
 
 
 @dataclass
@@ -72,7 +62,7 @@ class ProblemSpec:
     coefficients: CoefficientField
     source: SourceField
     reaction: ReactionSpec = field(default_factory=ReactionSpec.zero)
-    epsilon: Union[float, _Limit] = LIMIT
+    epsilon: Optional[float] = LIMIT
 
     def __post_init__(self):
         if self.epsilon is not LIMIT:
@@ -119,15 +109,7 @@ def _system_and_load(problem: ProblemSpec, space: GalerkinSpace,
 
 def _solution(problem: ProblemSpec, space: GalerkinSpace, coeffs, **extra):
     return GalerkinSolution(space, coeffs, "limit" if problem.is_limit else "perturbed",
-                            None if problem.is_limit else problem.epsilon, **extra)
-
-
-def _linear_system(problem: ProblemSpec, system: AssembledProblem):
-    """The problem's factored system operator and its tensor preconditioner."""
-    epsilon = None if problem.is_limit else problem.epsilon
-    e2 = 0.0 if problem.is_limit else problem.epsilon ** 2
-    mu = problem.reaction.mu
-    return system.operator(epsilon, mu), system.tensor_preconditioner(e2, mu)
+                            problem.epsilon, **extra)
 
 
 def galerkin_solve(problem: ProblemSpec, space: GalerkinSpace,
@@ -154,8 +136,9 @@ def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
     if problem.reaction.kind == "custom":
         raise ValueError("custom reactions require solve_semilinear")
     system, F = _system_and_load(problem, space, system)
-    K, precond = _linear_system(problem, system)
-    result = solve(K, F, solver, precond=precond)
+    eps, mu = problem.epsilon, problem.reaction.mu
+    result = solve(system.operator(eps, mu), F, solver,
+                   precond=system.tensor_preconditioner(eps, mu))
     norm_f = np.linalg.norm(F)
     rel = result.residual_norm / norm_f if norm_f else 0.0
     if rel > GALERKIN_RESIDUAL_TOL:
@@ -183,7 +166,7 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
     if problem.reaction.kind != "custom":
         raise ValueError("solve_semilinear expects a custom reaction")
     system, F = _system_and_load(problem, space, system)
-    K = system.limit_stiffness() if problem.is_limit else system.stiffness(problem.epsilon)
+    K = system.operator(problem.epsilon).tocsr()
     lu = spla.splu(K.tocsc())
     scale = np.linalg.norm(F) or 1.0
     u = np.zeros(space.dim) if initial is None else np.array(initial, dtype=float)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,15 +51,20 @@ __all__ = [
 SINE_MIN_QUAD_ORDER = 3
 
 
+@lru_cache(maxsize=64)
 def gauss_rule(order: int):
     """Gauss-Legendre points and weights on the reference cell [0, 1].
 
-    Exact for polynomials of degree <= 2*order - 1.
+    Exact for polynomials of degree <= 2*order - 1.  Computed once per
+    order; the returned arrays are shared and read-only.
     """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+    rule = 0.5 * (x + 1.0), 0.5 * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _composite_gauss(a: float, h: float, panels: int, order: int):

@@ -161,6 +161,25 @@ class TestRunConfig:
         assert len(calls) == 1
         assert summary["constants"]["poincare_omega2"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kind", ["solve", "rate", "cea", "dq", "ap"])
+    def test_ledger_validated_once_per_study(self, tmp_path, monkeypatch,
+                                             kind):
+        # compute_constants validates its ledger once, so a ledger computed
+        # through any binding of compute_constants is counted here
+        from anisolab.coefficients import ConstantLedger
+
+        calls = []
+        real = ConstantLedger.validate
+
+        def counting(ledger, *args, **kwargs):
+            calls.append(kind)
+            return real(ledger, *args, **kwargs)
+
+        monkeypatch.setattr(ConstantLedger, "validate", counting)
+        cfg = parse_config(MINIMAL.replace("kind = rate", f"kind = {kind}"))
+        run_config(cfg, tmp_path)
+        assert len(calls) == 1
+
     def test_hypothesis_refusal_leaves_no_constants(self, tmp_path):
         # The x1-dependent a12 has no declared partial, which the ledger
         # would reject; the hypothesis gate must refuse before that.
@@ -554,3 +573,55 @@ class TestCustomReactionStudies:
         assert code == 2
         assert capsys.readouterr().err == ("error: custom reactions require "
                                            "solve_semilinear\n")
+
+
+class TestFamilySizes:
+    # in ap_identity.cfg basis1 sits on line 19, m1 on 20, basis2 on 21,
+    # m2 on 22 and sizes on 28; a 0 in sizes used to run as m1
+    @pytest.mark.parametrize("edits,line,message", [
+        ({"sizes = 2, 4, 8, 16": "sizes = 0, 16"}, 28,
+         "sizes must be >= 1 for a sine basis, got 0"),
+        ({"sizes = 2, 4, 8, 16": "sizes = -2, 4"}, 28,
+         "sizes must be >= 1 for a sine basis, got -2"),
+        ({"m1 = 16": "m1 = 0"}, 20, "m1 must be >= 1 for a sine basis, got 0"),
+        ({"m2 = 16": "m2 = -1"}, 22, "m2 must be >= 1 for a sine basis, got -1"),
+        ({"basis1 = sine": "basis1 = q1", "m1 = 16": "m1 = 1"}, 20,
+         "m1 must be >= 2 for a q1 basis, got 1"),
+        ({"basis2 = sine": "basis2 = q1", "sizes = 2, 4, 8, 16": "sizes = 1, 4"},
+         28, "sizes must be >= 2 for a q1 basis, got 1"),
+    ])
+    def test_config_error_at_the_key(self, tmp_path, capsys, edits, line,
+                                     message):
+        text = (CONFIG_DIR / "ap_identity.cfg").read_text()
+        for old, new in edits.items():
+            assert text.splitlines().count(old) == 1
+            text = text.replace(old, new)
+        cfg_path = tmp_path / "sizes.cfg"
+        cfg_path.write_text(text)
+        with pytest.raises(ConfigError, match=message) as err:
+            load_config(cfg_path)
+        assert (err.value.line, err.value.column) == (line, 1)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line {line}, column 1: {message}\n"
+        assert not (out / "summary.json").exists()
+
+    def test_least_sizes_are_accepted(self):
+        text = (CONFIG_DIR / "ap_identity.cfg").read_text()
+        cfg = parse_config(text.replace("m1 = 16", "m1 = 1")
+                           .replace("sizes = 2, 4, 8, 16", "sizes = 1, 2"))
+        assert (cfg.discretization.m1, cfg.study.sizes) == (1, (1, 2))
+        cfg = parse_config(text.replace("basis1 = sine", "basis1 = q1")
+                           .replace("m1 = 16", "m1 = 2").replace("m2 = 16", "m2 = 1"))
+        assert (cfg.discretization.m1, cfg.discretization.m2) == (2, 1)
+
+    def test_make_space_takes_an_explicit_size_as_given(self):
+        from anisolab.config import build_problem_objects, make_space
+
+        cfg = load_config(CONFIG_DIR / "ap_identity.cfg")
+        domain = build_problem_objects(cfg)[0]
+        assert make_space(cfg, domain, m1=4, m2=2).dim == 8
+        assert make_space(cfg, domain).dim == 256
+        with pytest.raises(ValueError, match="family sizes must be positive"):
+            make_space(cfg, domain, m1=0, m2=16)

@@ -142,3 +142,25 @@ class TestCallerPreconditioner:
         K = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(IndefiniteOperatorError):
             solve(K, np.array([1.0, -1.0]), precond=lambda r: r)
+
+
+class TestTensorPreconditionerKey:
+    """``tensor_preconditioner(eps, mu)`` inverts ``operator(eps, mu)`` of
+    identity coefficients, for the same key and the limit ``LIMIT``."""
+
+    @pytest.mark.parametrize("space_name", ["sine8", "q1_8"])
+    @pytest.mark.parametrize("eps", [LIMIT, 0.5])
+    @pytest.mark.parametrize("mu", [0.0, 2.0])
+    def test_inverts_the_operator_of_the_same_key(self, request, A_identity,
+                                                   space_name, eps, mu):
+        system = assemble_system(request.getfixturevalue(space_name), A_identity)
+        x = np.random.default_rng(7).normal(size=system.space.dim)
+        apply = system.tensor_preconditioner(eps, mu)
+        got = apply(system.operator(eps, mu) @ x)
+        assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_limit_is_the_default_key(self, sine8, A_identity):
+        system = assemble_system(sine8, A_identity)
+        r = np.random.default_rng(8).normal(size=sine8.dim)
+        assert np.array_equal(system.tensor_preconditioner()(r),
+                              system.tensor_preconditioner(LIMIT, 0.0)(r))

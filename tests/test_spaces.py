@@ -132,6 +132,21 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             gauss_rule(0)
 
+    @pytest.mark.parametrize("order", [1, 4, 16])
+    def test_gauss_rule_is_computed_once_and_read_only(self, order):
+        pts, wts = gauss_rule(order)
+        again = gauss_rule(order)
+        assert again[0] is pts and again[1] is wts
+        for a in (pts, wts):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        x, w = np.polynomial.legendre.leggauss(order)
+        assert np.array_equal(pts, 0.5 * (x + 1.0))
+        assert np.array_equal(wts, 0.5 * w)
+        with pytest.raises(ValueError):
+            gauss_rule(0)
+
     def test_sine_rule_integrates_mode_products_exactly(self):
         basis = SineBasis((0.0, PI), 16)
         pts, wts = basis.quad_points(4)

@@ -28,8 +28,9 @@ import math  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
 
-from anisolab import assembly, elliptic, linsolve  # noqa: E402
+from anisolab import assembly, linsolve  # noqa: E402
 from anisolab.coefficients import CoefficientField, SourceField  # noqa: E402
+from anisolab.elliptic import LIMIT  # noqa: E402
 from anisolab.expressions import parse_expression  # noqa: E402
 from anisolab.spaces import TensorDomain, build_space  # noqa: E402
 
@@ -68,7 +69,6 @@ def main(argv=None) -> None:
     dom = TensorDomain((0.0, math.pi), (0.0, math.pi))
     A = CoefficientField.identity()
     f = SourceField(parse_expression("(2/pi)*sin(x1)*sin(x2)"))
-    limit = elliptic.ProblemSpec(dom, A, f)
     print(f"sine x sine, identity coefficients; medians of {REPEATS} calls, "
           "BLAS on one thread")
     print(f"{'m':>4}{'dim':>7}{'assemble ms':>13}{'stored doubles':>16}"
@@ -83,8 +83,8 @@ def main(argv=None) -> None:
         stored = stored_doubles(system)
 
         def limit_solve():
-            K, precond = elliptic._linear_system(limit, system)
-            return linsolve.solve(K, system.F, precond=precond)
+            return linsolve.solve(system.operator(LIMIT), system.F,
+                                  precond=system.tensor_preconditioner(LIMIT))
 
         solve_ms = median_ms(limit_solve)
         iterations = limit_solve().iterations
