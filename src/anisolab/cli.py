@@ -1,6 +1,11 @@
 """Command line interface: parse a config, run the requested study, and emit
 deterministic CSV/JSON reports.
 
+``--epsilon-list``, ``--basis`` and ``--export`` reach the config as
+overrides of ``load_config``, so they pass the config's own checks and a
+fault is reported at the replaced key.  A subcommand then sets the study
+kind; ``_STUDIES`` maps each kind to its subcommand and its runner.
+
 Exit codes: 0 when every requested verdict passes, 1 when a verdict fails,
 2 on a structured refusal (missing hypothesis flags), a configuration
 error or an output path that cannot be created or written, 3 on a
@@ -31,18 +36,6 @@ from .reports import write_csv, write_summary
 from .semigroup import ContractionError, StepperAccuracyError
 
 __all__ = ["main", "run_config"]
-
-_SUBCOMMAND_KINDS = {
-    "solve": "solve",
-    "rate-study": "rate",
-    "cea-check": "cea",
-    "ap-check": "ap",
-    "dq-check": "dq",
-    "resolvent-study": "resolvent",
-    "semigroup-study": "semigroup",
-    "parabolic-study": "parabolic",
-    "constants": "constants",
-}
 
 # Numerical failures that end a study with a ``failures`` entry and exit
 # code 3, and the diagnostics each may carry.
@@ -251,21 +244,23 @@ def _run_constants(cfg, problem, outdir, summary):
         print(f"  {name:<{width}} = {value:.12g}    [{LEDGER_FORMULAS[name]}]")
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "rate": _run_rate,
-    "cea": _run_cea,
-    "ap": _run_ap,
-    "dq": _run_dq,
-    "resolvent": _run_resolvent,
-    "semigroup": _run_semigroup,
-    "parabolic": _run_parabolic,
-    "constants": _run_constants,
+# study kind -> (subcommand, runner), in the order of the subcommands
+_STUDIES = {
+    "solve": ("solve", _run_solve),
+    "rate": ("rate-study", _run_rate),
+    "cea": ("cea-check", _run_cea),
+    "ap": ("ap-check", _run_ap),
+    "dq": ("dq-check", _run_dq),
+    "resolvent": ("resolvent-study", _run_resolvent),
+    "semigroup": ("semigroup-study", _run_semigroup),
+    "parabolic": ("parabolic-study", _run_parabolic),
+    "constants": ("constants", _run_constants),
 }
 
 
 def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
     """Execute the study named by the config; returns (summary, exit code)."""
+    problem = ProblemSpec(*build_problem_objects(cfg))
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -274,9 +269,8 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
         "verdicts": {},
         "refusals": [],
     }
-    problem = ProblemSpec(*build_problem_objects(cfg))
     try:
-        _RUNNERS[cfg.study.kind](cfg, problem, outdir, summary)
+        _STUDIES[cfg.study.kind][1](cfg, problem, outdir, summary)
         if "constants" not in summary:
             summary["constants"] = _ledger(problem).as_dict()
     except HypothesisNotSatisfied as exc:
@@ -304,8 +298,9 @@ def _build_parser():
         description="Studies of anisotropic singularly perturbed problems "
                     "on tensor-product domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_SUBCOMMAND_KINDS) + ["run"]:
+    for kind, name in [(k, s) for k, (s, _) in _STUDIES.items()] + [(None, "run")]:
         p = sub.add_parser(name)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", required=True, help="path to a .cfg file")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--epsilon-list", default=None,
@@ -321,28 +316,26 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.command != "run":
-        cfg.study.kind = _SUBCOMMAND_KINDS[args.command]
+    overrides = {}
     if args.epsilon_list:
         try:
-            eps = tuple(float(p) for p in args.epsilon_list.split(","))
+            overrides["study", "epsilons"] = tuple(
+                float(p) for p in args.epsilon_list.split(","))
         except ValueError:
             print("error: bad --epsilon-list", file=sys.stderr)
             return 2
-        if any(not (0.0 < e <= 1.0) for e in eps):
-            print("error: epsilon must lie in (0,1]", file=sys.stderr)
-            return 2
-        cfg.study.epsilons = eps
     if args.basis:
-        cfg.discretization.basis1 = args.basis
-        cfg.discretization.basis2 = args.basis
+        overrides["discretization", "basis1"] = args.basis
+        overrides["discretization", "basis2"] = args.basis
     if args.export:
-        cfg.study.export = args.export
+        overrides["study", "export"] = args.export
+    try:
+        cfg = load_config(args.config, overrides)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.kind:
+        cfg.study.kind = args.kind
     outdir = args.out or cfg.output.directory
     start = time.perf_counter()
     try:

@@ -2,8 +2,11 @@
 headers, hash comments, quoted expression strings, and comma-separated lists.
 
 The parsed configuration round-trips: ``parse_config(emit_config(cfg))``
-reproduces ``cfg`` exactly.  Builders turn a configuration into the domain,
-coefficient, source, reaction, and space objects of the library.
+reproduces ``cfg`` exactly.  ``_validate``, the one semantic check, reads
+each fact from its owner (basis families, ``TensorDomain``) and reports a
+fault at its key, also in a value the command line puts in its place.
+Builders turn a configuration into the domain, coefficient, source,
+reaction, and space objects of the library.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from .coefficients import (CoefficientField, ReactionSpec, SourceField, _interval_rule,
                            as_field, grid_values)
 from .expressions import ExpressionError, parse_expression
-from .spaces import SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain, build_space
+from .spaces import (_FAMILIES, SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain,
+                     build_space)
 
 __all__ = [
     "ConfigError",
@@ -38,6 +42,11 @@ __all__ = [
 
 STUDY_KINDS = ("solve", "rate", "cea", "ap", "dq", "resolvent", "semigroup",
                "parabolic", "constants")
+
+# beta word -> reaction of mu
+_REACTIONS = {"zero": lambda mu: ReactionSpec.zero(),
+              "linear": ReactionSpec.linear,
+              "arctan": lambda mu: ReactionSpec.arctan()}
 
 
 class ConfigError(ValueError):
@@ -64,7 +73,7 @@ class ProblemConfig:
     a22_x2_only: bool = True
     offdiag_derivs_bounded: bool = True
     offdiag_mixed_deriv_in_l2: bool = False
-    beta: str = "zero"  # zero | linear | arctan
+    beta: str = "zero"  # a word of _REACTIONS
     mu: float = 1.0
     f: str = "0"
     f_dx1: Optional[str] = None
@@ -213,7 +222,9 @@ def _strip_comment(raw: str) -> str:
     return "".join(out)
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides=None) -> ExperimentConfig:
+    """Parse and check config text; ``overrides`` maps ``(section,
+    attribute)`` to a value that replaces the file's before the checks."""
     cfg = ExperimentConfig()
     section = None
     where = {}  # (section, attribute) -> (line, column) of its key
@@ -249,6 +260,8 @@ def parse_config(text: str) -> ExperimentConfig:
         col = line.index("=") + 2
         setattr(getattr(cfg, section), attr, _parse_value(kind, value, lineno, col))
         where[(section, attr)] = (lineno, indent)
+    for (section, attr), value in (overrides or {}).items():
+        setattr(getattr(cfg, section), attr, value)
     _validate(cfg, where)
     return cfg
 
@@ -269,39 +282,45 @@ def _validate(cfg: ExperimentConfig, where: dict):
             if not (0.0 < eps <= 1.0):
                 raise error(f"epsilon must lie in (0,1], got {eps!r}",
                             "study", attr)
-    if cfg.problem.beta not in ("zero", "linear", "arctan"):
+    if cfg.problem.beta not in _REACTIONS:
         raise error(f"unknown reaction {cfg.problem.beta!r}", "problem", "beta")
     d = cfg.discretization
     for attr in ("basis1", "basis2"):
-        if getattr(d, attr) not in ("sine", "q1"):
+        if getattr(d, attr) not in _FAMILIES:
             raise error("basis kinds must be 'sine' or 'q1'",
                         "discretization", attr)
-    # a sine family needs 1 mode and a q1 family 2 subintervals; the sizes
-    # of a study set both directions
-    least = {"sine": 1, "q1": 2}
+    # the sizes of a study set both directions
     for section, attr, kinds in (("discretization", "m1", (d.basis1,)),
                                  ("discretization", "m2", (d.basis2,)),
                                  ("study", "sizes", (d.basis1, d.basis2))):
-        kind = max(kinds, key=least.get)
+        family = max((_FAMILIES[k] for k in kinds), key=lambda f: f.least_m)
         value = getattr(getattr(cfg, section), attr)
         for m in value if attr == "sizes" else (value,):
-            if m < least[kind]:
-                raise error(f"{attr} must be >= {least[kind]} for a {kind} "
-                            f"basis, got {m}", section, attr)
+            if m < family.least_m:
+                raise error(f"{attr} must be >= {family.least_m} for a "
+                            f"{family.kind} basis, got {m}", section, attr)
     if "sine" in (d.basis1, d.basis2) and d.quad_order < SINE_MIN_QUAD_ORDER:
         raise error(f"quad_order must be >= {SINE_MIN_QUAD_ORDER} "
                     "for a sine basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
         raise error("lambda must be positive", "problem", "lam")
+    for word in cfg.output.formats:
+        if word not in ("csv", "json"):
+            raise error(f"unknown output format {word!r}; expected csv or json",
+                        "output", "formats")
+    try:
+        domain = TensorDomain(cfg.problem.domain[:2], cfg.problem.domain[2:])
+    except ValueError as exc:
+        raise error(str(exc), "problem", "domain")
     # [problem] expressions and u0 are functions of x1 and x2 alone (t is the
     # time of the parabolic source).  Coefficients must be finite on the
     # sample grid of CoefficientField.validate, which would reject the same
     # values without the key's position; the source, its x1-partial and the
     # initial state on the Gauss grid of integrate_on_domain, which takes
     # their norms, so a source finite there (sin(x1)/x1) is accepted.
-    a1, b1, a2, b2 = cfg.problem.domain
-    sample = np.linspace(a1, b1, 33), np.linspace(a2, b2, 33)
-    gauss = _interval_rule((a1, b1))[0], _interval_rule((a2, b2))[0]
+    sides = domain.omega1, domain.omega2
+    sample = [np.linspace(a, b, 33) for a, b in sides]
+    gauss = [_interval_rule(side)[0] for side in sides]
     for what, section, attrs, axes in (
             ("coefficient", "problem", ("a11", "a12", "a21", "a22"), sample),
             ("coefficient derivative", "problem",
@@ -357,9 +376,9 @@ def emit_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides=None) -> ExperimentConfig:
     with open(path, "r") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), overrides)
 
 
 def shipped_config_dir() -> Path:
@@ -379,8 +398,7 @@ def _field_from_key(expr_text: Optional[str], dx1=None, dx2=None, label=""):
 def build_problem_objects(cfg: ExperimentConfig):
     """Domain, coefficients, source, and reaction from a configuration."""
     p = cfg.problem
-    a1, b1, a2, b2 = p.domain
-    domain = TensorDomain((a1, b1), (a2, b2))
+    domain = TensorDomain(p.domain[:2], p.domain[2:])
     A = CoefficientField(
         a11=_field_from_key(p.a11, label="a11"),
         a12=_field_from_key(p.a12, p.a12_dx1, p.a12_dx2, label="a12"),
@@ -398,12 +416,7 @@ def build_problem_objects(cfg: ExperimentConfig):
         grad_x1_in_l2=p.f_grad_x1_in_l2,
         slices_vanish_x1=p.f_slices_vanish_x1,
     )
-    if p.beta == "zero":
-        reaction = ReactionSpec.zero()
-    elif p.beta == "linear":
-        reaction = ReactionSpec.linear(p.mu)
-    else:
-        reaction = ReactionSpec.arctan()
+    reaction = _REACTIONS[p.beta](p.mu)
     reaction.validate()
     return domain, A, source, reaction
 

@@ -77,6 +77,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.variables = set()
 
     def peek(self):
         return self.tokens[self.pos]
@@ -136,6 +137,7 @@ class _Parser:
             if name == "pi":
                 return ("num", math.pi)
             if name in _VARIABLES:
+                self.variables.add(name)
                 return ("var", name)
             if name in _FUNCTIONS:
                 self.expect("(")
@@ -175,28 +177,13 @@ def _eval(node, env):
     raise AssertionError(f"bad node {node!r}")
 
 
-def _variables(node, out):
-    kind = node[0]
-    if kind == "var":
-        out.add(node[1])
-    elif kind == "neg":
-        _variables(node[1], out)
-    elif kind == "bin":
-        _variables(node[2], out)
-        _variables(node[3], out)
-    elif kind == "call":
-        _variables(node[2], out)
-
-
 class Expression:
     """A parsed expression; callable with keyword arrays ``x1``, ``x2``, ``t``."""
 
-    def __init__(self, source: str, node):
+    def __init__(self, source: str, node, variables):
         self.source = source
         self._node = node
-        vars_ = set()
-        _variables(node, vars_)
-        self.variables = frozenset(vars_)
+        self.variables = frozenset(variables)
 
     @property
     def is_constant(self) -> bool:
@@ -215,4 +202,5 @@ def parse_expression(source: str) -> Expression:
 
     Raises :class:`ExpressionError` with a column number on bad input.
     """
-    return Expression(source, _Parser(source).parse())
+    parser = _Parser(source)
+    return Expression(source, parser.parse(), parser.variables)

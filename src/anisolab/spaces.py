@@ -139,6 +139,7 @@ class BasisFamily1D:
     """Base class for a 1D basis on an interval, conforming to zero traces."""
 
     kind: str
+    least_m: int  # the fewest subintervals or modes the family takes
     interval: tuple[float, float]
     dim: int
 
@@ -174,13 +175,14 @@ class Q1Basis(BasisFamily1D):
     """Interior hat functions on a uniform mesh with ``m`` subintervals."""
 
     kind = "q1"
+    least_m = 2
 
     def __init__(self, interval, m: int):
         a, b = interval
         if not b > a:
             raise ValueError("degenerate interval")
-        if m < 2:
-            raise ValueError("q1 family needs at least 2 subintervals")
+        if m < self.least_m:
+            raise ValueError(f"q1 family needs at least {self.least_m} subintervals")
         self.interval = (float(a), float(b))
         self.m = int(m)
         self.dim = self.m - 1
@@ -245,13 +247,14 @@ class SineBasis(BasisFamily1D):
     """First ``m`` sine modes on the interval, orthonormal in L2."""
 
     kind = "sine"
+    least_m = 1
 
     def __init__(self, interval, m: int):
         a, b = interval
         if not b > a:
             raise ValueError("degenerate interval")
-        if m < 1:
-            raise ValueError("sine family needs at least 1 mode")
+        if m < self.least_m:
+            raise ValueError(f"sine family needs at least {self.least_m} mode")
         self.interval = (float(a), float(b))
         self.m = int(m)
         self.dim = self.m

@@ -625,3 +625,102 @@ class TestFamilySizes:
         assert make_space(cfg, domain).dim == 256
         with pytest.raises(ValueError, match="family sizes must be positive"):
             make_space(cfg, domain, m1=0, m2=16)
+
+
+def _edited(tmp_path, cfg_name, edits):
+    """Path of a copy of a shipped config with whole lines replaced."""
+    text = (CONFIG_DIR / cfg_name).read_text()
+    for old, new in edits.items():
+        assert text.splitlines().count(old) == 1
+        text = text.replace(old, new)
+    path = tmp_path / cfg_name
+    path.write_text(text)
+    return path
+
+
+class TestCommandLineOverrides:
+    # in solve_identity.cfg m1 sits on line 20 and quad_order on 23; in
+    # rate_identity.cfg epsilons sits on line 27.  An override used to be
+    # written into the config after its checks had run.
+    @pytest.mark.parametrize("cfg_name,edits,flags,message", [
+        ("solve_identity.cfg", {"m1 = 8": "m1 = 1"}, ["--basis", "q1"],
+         "line 20, column 1: m1 must be >= 2 for a q1 basis, got 1"),
+        ("solve_identity.cfg", {"basis1 = sine": "basis1 = q1",
+                                "basis2 = sine": "basis2 = q1",
+                                "quad_order = 4": "quad_order = 2"},
+         ["--basis", "sine"],
+         "line 23, column 1: quad_order must be >= 3 for a sine basis"),
+        ("rate_identity.cfg", {}, ["--epsilon-list", "1.5"],
+         "line 27, column 1: epsilon must lie in (0,1], got 1.5"),
+        # a key the file lacks is reported at line 1
+        ("solve_identity.cfg", {}, ["--epsilon-list", "0.5,0"],
+         "line 1, column 1: epsilon must lie in (0,1], got 0.0"),
+    ])
+    def test_override_is_checked_at_the_replaced_key(self, tmp_path, capsys,
+                                                     cfg_name, edits, flags,
+                                                     message):
+        cfg_path = _edited(tmp_path, cfg_name, edits)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)]
+                    + flags)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "summary.json").exists()
+
+    def test_overrides_replace_file_values(self):
+        cfg = load_config(CONFIG_DIR / "rate_identity.cfg", {
+            ("study", "epsilons"): (0.5, 0.25),
+            ("discretization", "basis1"): "q1",
+            ("discretization", "basis2"): "q1",
+        })
+        assert cfg.study.epsilons == (0.5, 0.25)
+        assert (cfg.discretization.basis1, cfg.discretization.basis2) == ("q1", "q1")
+
+    def test_study_kinds_agree_with_the_subcommands(self, capsys):
+        from anisolab import cli, config
+
+        assert set(config.STUDY_KINDS) == set(cli._STUDIES)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert ("{solve,rate-study,cea-check,ap-check,dq-check,resolvent-study,"
+                "semigroup-study,parabolic-study,constants,run}"
+                in capsys.readouterr().out)
+
+
+class TestInputsRejectedBeforeOutput:
+    def test_degenerate_domain_at_the_key(self, tmp_path, capsys):
+        cfg_path = _edited(tmp_path, "solve_identity.cfg",
+                           {"domain = 0, pi, 0, pi": "domain = 0, 0, 0, pi"})
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 3, column 1: degenerate interval: each side must "
+            "have b > a\n")
+        assert not out.exists()
+
+    def test_unknown_output_format_at_the_key(self, tmp_path, capsys):
+        cfg_path = _edited(tmp_path, "solve_identity.cfg",
+                           {"formats = csv, json": "formats = xml"})
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 32, column 1: unknown output format 'xml'; "
+            "expected csv or json\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"lambda = 1": "lambda = 2"}, "error: ellipticity check failed: "),
+        ({'a22 = "1"': 'a22 = "1 + 0.5*sin(x1)"'},
+         "error: a22 declared x2-only but varies with x1"),
+    ])
+    def test_unbuildable_problem_leaves_no_output_directory(self, tmp_path,
+                                                            capsys, edits,
+                                                            message):
+        cfg_path = _edited(tmp_path, "solve_identity.cfg", edits)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()

@@ -34,6 +34,17 @@ def test_time_variable():
     assert e(x1=0.5, t=1.0) == pytest.approx(math.exp(-1) * math.sin(0.5))
 
 
+@pytest.mark.parametrize("src,variables", [
+    ("exp(-t)*sin(x1)", {"t", "x1"}),
+    ("2*pi", set()),
+    ("-(x2)/cos(x2)", {"x2"}),
+])
+def test_variables_through_calls_and_unary_minus(src, variables):
+    e = parse_expression(src)
+    assert e.variables == variables
+    assert e.is_constant == (not variables)
+
+
 def test_scientific_notation():
     assert parse_expression("1.5e-3 + 2E2")() == pytest.approx(0.0015 + 200.0)
 
