@@ -4,14 +4,16 @@ The diffusion matrix is a 2x2 block field ``A = [[a11, a12], [a21, a22]]``
 with a user-declared ellipticity constant ``lam``; the perturbation scales
 the blocks by ``(eps^2, eps, eps, 1)``.  All bound constants used by the
 diagnostics are assembled here from interval Poincare constants and sampled
-sup-norms of the coefficients.
+sup-norms of the coefficients.  Each constant is declared once, on its
+``ConstantLedger`` field: ``_constant`` gives its formula and whether it must
+be strictly positive, and ``LEDGER_FORMULAS`` is read from the fields.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -153,6 +155,10 @@ def grid_values(fn, x1, x2) -> np.ndarray:
     return np.broadcast_to(values, (x1.size, x2.size))
 
 
+# points per side of the sample grid of CoefficientField.validate
+VALIDATE_GRID = 33
+
+
 def _sample_axes(domain: TensorDomain, n: int):
     return (np.linspace(domain.omega1[0], domain.omega1[1], n),
             np.linspace(domain.omega2[0], domain.omega2[1], n))
@@ -211,8 +217,8 @@ class CoefficientField:
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
 
-    def validate(self, domain: TensorDomain, grid: int = 33, xi_samples: int = 8,
-                 seed: int = 0, tol: float = 1e-10):
+    def validate(self, domain: TensorDomain, grid: int = VALIDATE_GRID,
+                 xi_samples: int = 8, seed: int = 0, tol: float = 1e-10):
         """Spot-check ellipticity, boundedness, and the a22 structure flag."""
         x1, x2 = _sample_axes(domain, grid)
         vals = [grid_values(a, x1, x2) for a in self.entries()]
@@ -322,67 +328,50 @@ def scale_matrix(A: CoefficientField, epsilon: float) -> BlockScaling:
     return BlockScaling(epsilon ** 2, epsilon, epsilon, 1.0)
 
 
-# Formula provenance strings, keyed by ledger field name.  These are the
-# exact expressions evaluated by compute_constants.
-LEDGER_FORMULAS = {
-    "poincare_omega1": "L1 / pi",
-    "poincare_omega2": "L2 / pi",
-    "poincare_domain": "(poincare_omega1^-2 + poincare_omega2^-2)^(-1/2)",
-    "sup_a11": "sup |a11| (grid sampled)",
-    "sup_a12": "sup |a12| (grid sampled)",
-    "sup_a21": "sup |a21| (grid sampled)",
-    "sup_a22": "sup |a22| (grid sampled)",
-    "sup_matrix": "sup of the pointwise spectral norm of A (grid sampled)",
-    "sup_da12_dx1": "sup |d(a12)/dx1| (grid sampled, declared partial)",
-    "sup_da12_dx2": "sup |d(a12)/dx2| (grid sampled, declared partial)",
-    "energy_const": "(sup_a21^2 + sup_a11^2) / (2 lam)",
-    "offdiag_const": "(3 (poincare_omega2 sup_da12_dx2)^2 + 3 sup_a12^2) / lam",
-    "offdiag_deriv_const": "3 (poincare_omega2 sup_da12_dx1)^2 / lam",
-    "rate_const_grad": "sqrt(4 (energy_const + offdiag_const) / lam)",
-    "rate_const_source": "2 sqrt(offdiag_deriv_const) poincare_omega2 / lam^(3/2)",
-    "dq_const": "poincare_omega2^2 / lam",
-    "dq_const_statement": "poincare_omega2 / lam",
-    "cea_limit_linear": "sup_a22 / lam",
-    "cea_perturbed_linear": "sup_matrix / lam (divide by eps^2 at use)",
-    "cea_limit": "sqrt((2 M poincare_omega2 (area_sqrt + poincare_omega2^2 "
-                 "norm_f / lam) + 2 sup_a22 poincare_omega2 norm_f / lam) / lam)",
-    "cea_perturbed": "sqrt((2 M poincare_domain (area_sqrt + poincare_domain^2 "
-                     "norm_f / lam) + 2 sup_matrix poincare_domain norm_f / lam) "
-                     "/ lam) (divide by eps^2 at use)",
-    "area_sqrt": "sqrt(L1 L2)",
-    "norm_f": "||f|| (composite Gauss)",
-    "growth_const": "M with |beta(s)| <= M (1 + |s|)",
-}
+def _constant(formula, positive=False):
+    """A ledger entry: the formula ``compute_constants`` evaluates for it, and
+    whether ``validate`` requires it strictly positive."""
+    return field(metadata={"formula": formula, "positive": positive})
 
 
 @dataclass
 class ConstantLedger:
     """Every explicit constant entering the bounds, in one deterministic place."""
 
-    poincare_omega1: float
-    poincare_omega2: float
-    poincare_domain: float
-    sup_a11: float
-    sup_a12: float
-    sup_a21: float
-    sup_a22: float
-    sup_matrix: float
-    sup_da12_dx1: float
-    sup_da12_dx2: float
-    energy_const: float
-    offdiag_const: float
-    offdiag_deriv_const: float
-    rate_const_grad: float
-    rate_const_source: float
-    dq_const: float
-    dq_const_statement: float
-    cea_limit_linear: float
-    cea_perturbed_linear: float
-    cea_limit: float
-    cea_perturbed: float
-    area_sqrt: float
-    norm_f: float
-    growth_const: float
+    poincare_omega1: float = _constant("L1 / pi", positive=True)
+    poincare_omega2: float = _constant("L2 / pi", positive=True)
+    poincare_domain: float = _constant(
+        "(poincare_omega1^-2 + poincare_omega2^-2)^(-1/2)", positive=True)
+    sup_a11: float = _constant("sup |a11| (grid sampled)")
+    sup_a12: float = _constant("sup |a12| (grid sampled)")
+    sup_a21: float = _constant("sup |a21| (grid sampled)")
+    sup_a22: float = _constant("sup |a22| (grid sampled)")
+    sup_matrix: float = _constant("sup of the pointwise spectral norm of A (grid sampled)")
+    sup_da12_dx1: float = _constant("sup |d(a12)/dx1| (grid sampled, declared partial)")
+    sup_da12_dx2: float = _constant("sup |d(a12)/dx2| (grid sampled, declared partial)")
+    energy_const: float = _constant("(sup_a21^2 + sup_a11^2) / (2 lam)", positive=True)
+    offdiag_const: float = _constant(
+        "(3 (poincare_omega2 sup_da12_dx2)^2 + 3 sup_a12^2) / lam")
+    offdiag_deriv_const: float = _constant("3 (poincare_omega2 sup_da12_dx1)^2 / lam")
+    rate_const_grad: float = _constant("sqrt(4 (energy_const + offdiag_const) / lam)",
+                                       positive=True)
+    rate_const_source: float = _constant(
+        "2 sqrt(offdiag_deriv_const) poincare_omega2 / lam^(3/2)")
+    dq_const: float = _constant("poincare_omega2^2 / lam", positive=True)
+    dq_const_statement: float = _constant("poincare_omega2 / lam", positive=True)
+    cea_limit_linear: float = _constant("sup_a22 / lam", positive=True)
+    cea_perturbed_linear: float = _constant("sup_matrix / lam (divide by eps^2 at use)",
+                                            positive=True)
+    cea_limit: float = _constant(
+        "sqrt((2 M poincare_omega2 (area_sqrt + poincare_omega2^2 "
+        "norm_f / lam) + 2 sup_a22 poincare_omega2 norm_f / lam) / lam)")
+    cea_perturbed: float = _constant(
+        "sqrt((2 M poincare_domain (area_sqrt + poincare_domain^2 "
+        "norm_f / lam) + 2 sup_matrix poincare_domain norm_f / lam) "
+        "/ lam) (divide by eps^2 at use)")
+    area_sqrt: float = _constant("sqrt(L1 L2)", positive=True)
+    norm_f: float = _constant("||f|| (composite Gauss)")
+    growth_const: float = _constant("M with |beta(s)| <= M (1 + |s|)")
     lam: float
     sample_grid: int = 512
 
@@ -390,20 +379,22 @@ class ConstantLedger:
         return {name: getattr(self, name) for name in LEDGER_FORMULAS}
 
     def validate(self):
-        strict = ("poincare_omega1", "poincare_omega2", "poincare_domain",
-                  "energy_const", "rate_const_grad", "dq_const",
-                  "dq_const_statement", "cea_limit_linear",
-                  "cea_perturbed_linear", "area_sqrt")
         for name in LEDGER_FORMULAS:
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"ledger entry {name} is not finite")
             if v < 0:
                 raise ValueError(f"ledger entry {name} is negative")
-        for name in strict:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"ledger entry {name} must be strictly positive")
+        for f in fields(self):
+            if f.metadata.get("positive") and getattr(self, f.name) <= 0:
+                raise ValueError(f"ledger entry {f.name} must be strictly positive")
         return True
+
+
+# ledger field name -> formula, in field order: the exact expressions
+# evaluated by compute_constants
+LEDGER_FORMULAS = {f.name: f.metadata["formula"]
+                   for f in fields(ConstantLedger) if "formula" in f.metadata}
 
 
 def _sup_abs(values) -> float:

@@ -1,26 +1,29 @@
 """Experiment configuration: a flat ``key = value`` format with ``[section]``
 headers, hash comments, quoted expression strings, and comma-separated lists.
 
-The parsed configuration round-trips: ``parse_config(emit_config(cfg))``
-reproduces ``cfg`` exactly.  ``_validate``, the one semantic check, reads
-each fact from its owner (basis families, ``TensorDomain``) and reports a
-fault at its key, also in a value the command line puts in its place.
-Builders turn a configuration into the domain, coefficient, source,
-reaction, and space objects of the library.
+Each key is declared once, on its ``*Config`` dataclass field: ``_key``
+gives its codec kind in ``_CODECS`` and, for ``lambda``, its file name; the
+key table ``_SCHEMA`` is read from the fields.  The parsed configuration
+round-trips: ``parse_config(emit_config(cfg))`` reproduces ``cfg`` exactly.
+``_validate``, the one semantic check, reads each fact from its owner
+(basis families, ``TensorDomain``, the reactions) and reports a fault at
+its key, also in a value the command line puts in its place.  Builders
+turn a configuration into the domain, coefficient, source, reaction, and
+space objects of the library.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .coefficients import (CoefficientField, ReactionSpec, SourceField, _interval_rule,
-                           as_field, grid_values)
+from .coefficients import (VALIDATE_GRID, CoefficientField, ReactionSpec, SourceField,
+                           _interval_rule, _sample_axes, as_field, grid_values)
 from .expressions import ExpressionError, parse_expression
 from .spaces import (_FAMILIES, SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain,
                      build_space)
@@ -58,63 +61,69 @@ class ConfigError(ValueError):
         self.column = column
 
 
+def _key(kind, default=None, key=None):
+    """A config field read and written by the codec ``kind``; ``key`` is its
+    name in the file when that differs from the attribute."""
+    return field(default=default, metadata={"kind": kind, "key": key})
+
+
 @dataclass
 class ProblemConfig:
-    domain: tuple = (0.0, math.pi, 0.0, math.pi)
-    a11: str = "1"
-    a12: str = "0"
-    a21: str = "0"
-    a22: str = "1"
-    a12_dx1: Optional[str] = None
-    a12_dx2: Optional[str] = None
-    a21_dx1: Optional[str] = None
-    a21_dx2: Optional[str] = None
-    lam: float = 1.0
-    a22_x2_only: bool = True
-    offdiag_derivs_bounded: bool = True
-    offdiag_mixed_deriv_in_l2: bool = False
-    beta: str = "zero"  # a word of _REACTIONS
-    mu: float = 1.0
-    f: str = "0"
-    f_dx1: Optional[str] = None
-    f_grad_x1_in_l2: bool = False
-    f_slices_vanish_x1: bool = False
+    domain: tuple = _key("float_list4", (0.0, math.pi, 0.0, math.pi))
+    a11: str = _key("expr", "1")
+    a12: str = _key("expr", "0")
+    a21: str = _key("expr", "0")
+    a22: str = _key("expr", "1")
+    a12_dx1: Optional[str] = _key("expr")
+    a12_dx2: Optional[str] = _key("expr")
+    a21_dx1: Optional[str] = _key("expr")
+    a21_dx2: Optional[str] = _key("expr")
+    lam: float = _key("float", 1.0, key="lambda")
+    a22_x2_only: bool = _key("bool", True)
+    offdiag_derivs_bounded: bool = _key("bool", True)
+    offdiag_mixed_deriv_in_l2: bool = _key("bool", False)
+    beta: str = _key("word", "zero")  # a word of _REACTIONS
+    mu: float = _key("float", 1.0)
+    f: str = _key("expr", "0")
+    f_dx1: Optional[str] = _key("expr")
+    f_grad_x1_in_l2: bool = _key("bool", False)
+    f_slices_vanish_x1: bool = _key("bool", False)
 
 
 @dataclass
 class DiscretizationConfig:
-    basis1: str = "sine"
-    m1: int = 8
-    basis2: str = "sine"
-    m2: int = 8
-    quad_order: int = 4
+    basis1: str = _key("word", "sine")
+    m1: int = _key("int", 8)
+    basis2: str = _key("word", "sine")
+    m2: int = _key("int", 8)
+    quad_order: int = _key("int", 4)
 
 
 @dataclass
 class StudyConfig:
-    kind: str = "solve"
-    epsilon: float = 0.5
-    epsilons: tuple = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
-    check_bound: bool = True
-    sizes: tuple = (2, 4, 8, 16)
-    mu: float = 1.0
-    T: float = 1.0
-    stepper: str = "be"
-    steps: int = 256
-    yosida_mu: float = 1.0
-    damping: float = 0.5
-    mus: tuple = (1.0, 10.0, 100.0)
-    source: Optional[str] = None        # time-dependent source expression
-    u0: Optional[str] = None            # parabolic initial state expression
-    u0_eps_coeff: float = 0.0           # u0(eps) = (1 + coeff * eps) u0
-    tol: float = 1e-2
-    export: Optional[str] = None        # lattice export file name for solve
+    kind: str = _key("word", "solve")
+    epsilon: float = _key("float", 0.5)
+    epsilons: tuple = _key("float_list", (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625))
+    check_bound: bool = _key("bool", True)
+    sizes: tuple = _key("int_list", (2, 4, 8, 16))
+    mu: float = _key("float", 1.0)
+    T: float = _key("float", 1.0)
+    stepper: str = _key("word", "be")
+    steps: int = _key("int", 256)
+    yosida_mu: float = _key("float", 1.0)
+    damping: float = _key("float", 0.5)
+    mus: tuple = _key("float_list", (1.0, 10.0, 100.0))
+    source: Optional[str] = _key("expr")  # time-dependent source expression
+    u0: Optional[str] = _key("expr")      # parabolic initial state expression
+    u0_eps_coeff: float = _key("float", 0.0)  # u0(eps) = (1 + coeff * eps) u0
+    tol: float = _key("float", 1e-2)
+    export: Optional[str] = _key("word")  # lattice export file name for solve
 
 
 @dataclass
 class OutputConfig:
-    directory: str = "out"
-    formats: tuple = ("csv", "json")
+    directory: str = _key("word", "out")
+    formats: tuple = _key("word_list", ("csv", "json"))
 
 
 @dataclass
@@ -125,60 +134,31 @@ class ExperimentConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-# key -> value codec table; "expr" values are stored as the quoted string
-_SCHEMA = {
-    "problem": {
-        "domain": "float_list4",
-        "a11": "expr", "a12": "expr", "a21": "expr", "a22": "expr",
-        "a12_dx1": "expr", "a12_dx2": "expr",
-        "a21_dx1": "expr", "a21_dx2": "expr",
-        "lambda": ("lam", "float"),
-        "a22_x2_only": "bool",
-        "offdiag_derivs_bounded": "bool",
-        "offdiag_mixed_deriv_in_l2": "bool",
-        "beta": "word", "mu": "float",
-        "f": "expr", "f_dx1": "expr",
-        "f_grad_x1_in_l2": "bool", "f_slices_vanish_x1": "bool",
-    },
-    "discretization": {
-        "basis1": "word", "m1": "int", "basis2": "word", "m2": "int",
-        "quad_order": "int",
-    },
-    "study": {
-        "kind": "word", "epsilon": "float", "epsilons": "float_list",
-        "check_bound": "bool", "sizes": "int_list", "mu": "float",
-        "T": "float", "stepper": "word", "steps": "int",
-        "yosida_mu": "float", "damping": "float", "mus": "float_list",
-        "source": "expr", "u0": "expr", "u0_eps_coeff": "float",
-        "tol": "float", "export": "word",
-    },
-    "output": {
-        "directory": "word", "formats": "word_list",
-    },
-}
-
 _SECTIONS = {"problem": ProblemConfig, "discretization": DiscretizationConfig,
              "study": StudyConfig, "output": OutputConfig}
 
+# section -> file key -> (attribute, codec kind), in field order
+_SCHEMA = {section: {f.metadata["key"] or f.name: (f.name, f.metadata["kind"])
+                     for f in fields(cls)}
+           for section, cls in _SECTIONS.items()}
 
-def _parse_scalar(kind, text, line, col):
-    text = text.strip()
-    try:
-        if kind == "float":
-            if text == "pi":
-                return math.pi
-            return float(text)
-        if kind == "int":
-            return int(text)
-        if kind == "bool":
-            if text in ("true", "false"):
-                return text == "true"
-            raise ValueError(f"expected true or false, got {text!r}")
-        if kind == "word":
-            return text
-    except ValueError as exc:
-        raise ConfigError(str(exc), line, col)
-    raise AssertionError(kind)
+
+def _parse_bool(text):
+    if text in ("true", "false"):
+        return text == "true"
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+# scalar kind -> (parser, writer); a parser raises ValueError on bad text.
+# A "<kind>_list" value is comma-separated scalars, "float_list4" four floats;
+# an "expr" value is stored as the text between its double quotes.
+_CODECS = {
+    "float": (lambda text: math.pi if text == "pi" else float(text),
+              lambda value: repr(float(value))),
+    "int": (int, lambda value: str(int(value))),
+    "bool": (_parse_bool, lambda value: "true" if value else "false"),
+    "word": (str, str),
+}
 
 
 def _parse_value(kind, text, line, col):
@@ -193,21 +173,16 @@ def _parse_value(kind, text, line, col):
             raise ConfigError(f"bad expression {inner!r}: {exc}",
                               line, col + exc.column)
         return inner
-    if kind in ("float", "int", "bool", "word"):
-        return _parse_scalar(kind, text, line, col)
-    if kind == "float_list4":
-        vals = tuple(_parse_scalar("float", p, line, col) for p in text.split(","))
-        if len(vals) != 4:
-            raise ConfigError("domain needs exactly four numbers a1,b1,a2,b2",
-                              line, col)
-        return vals
-    if kind == "float_list":
-        return tuple(_parse_scalar("float", p, line, col) for p in text.split(","))
-    if kind == "int_list":
-        return tuple(_parse_scalar("int", p, line, col) for p in text.split(","))
-    if kind == "word_list":
-        return tuple(p.strip() for p in text.split(","))
-    raise AssertionError(kind)
+    scalar, listed, _ = kind.partition("_list")
+    parse = _CODECS[scalar][0]
+    try:
+        value = (tuple(parse(p.strip()) for p in text.split(",")) if listed
+                 else parse(text))
+    except ValueError as exc:
+        raise ConfigError(str(exc), line, col)
+    if kind == "float_list4" and len(value) != 4:
+        raise ConfigError("domain needs exactly four numbers a1,b1,a2,b2", line, col)
+    return value
 
 
 def _strip_comment(raw: str) -> str:
@@ -252,8 +227,7 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         schema = _SCHEMA[section]
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno, indent)
-        spec = schema[key]
-        attr, kind = spec if isinstance(spec, tuple) else (key, spec)
+        attr, kind = schema[key]
         if (section, attr) in where:
             raise ConfigError(f"key {key!r} given twice in [{section}] (first on "
                               f"line {where[(section, attr)][0]})", lineno, indent)
@@ -284,6 +258,10 @@ def _validate(cfg: ExperimentConfig, where: dict):
                             "study", attr)
     if cfg.problem.beta not in _REACTIONS:
         raise error(f"unknown reaction {cfg.problem.beta!r}", "problem", "beta")
+    try:
+        _REACTIONS[cfg.problem.beta](cfg.problem.mu)
+    except ValueError as exc:
+        raise error(str(exc), "problem", "mu")
     d = cfg.discretization
     for attr in ("basis1", "basis2"):
         if getattr(d, attr) not in _FAMILIES:
@@ -304,6 +282,10 @@ def _validate(cfg: ExperimentConfig, where: dict):
                     "for a sine basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
         raise error("lambda must be positive", "problem", "lam")
+    export = cfg.study.export
+    if export is not None and (Path(export).name != export or export == ".."):
+        raise error("export must be a file name in the output directory, "
+                    f"got {export!r}", "study", "export")
     for word in cfg.output.formats:
         if word not in ("csv", "json"):
             raise error(f"unknown output format {word!r}; expected csv or json",
@@ -319,7 +301,7 @@ def _validate(cfg: ExperimentConfig, where: dict):
     # initial state on the Gauss grid of integrate_on_domain, which takes
     # their norms, so a source finite there (sin(x1)/x1) is accepted.
     sides = domain.omega1, domain.omega2
-    sample = [np.linspace(a, b, 33) for a, b in sides]
+    sample = _sample_axes(domain, VALIDATE_GRID)
     gauss = [_interval_rule(side)[0] for side in sides]
     for what, section, attrs, axes in (
             ("coefficient", "problem", ("a11", "a12", "a21", "a22"), sample),
@@ -344,21 +326,9 @@ def _validate(cfg: ExperimentConfig, where: dict):
 def _emit_value(kind, value) -> str:
     if kind == "expr":
         return f'"{value}"'
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("float",):
-        return repr(float(value))
-    if kind == "int":
-        return str(int(value))
-    if kind == "word":
-        return str(value)
-    if kind in ("float_list", "float_list4"):
-        return ", ".join(repr(float(v)) for v in value)
-    if kind == "int_list":
-        return ", ".join(str(int(v)) for v in value)
-    if kind == "word_list":
-        return ", ".join(str(v) for v in value)
-    raise AssertionError(kind)
+    scalar, listed, _ = kind.partition("_list")
+    write = _CODECS[scalar][1]
+    return ", ".join(map(write, value)) if listed else write(value)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
@@ -366,8 +336,7 @@ def emit_config(cfg: ExperimentConfig) -> str:
     for section, schema in _SCHEMA.items():
         lines.append(f"[{section}]")
         holder = getattr(cfg, section)
-        for key, spec in schema.items():
-            attr, kind = spec if isinstance(spec, tuple) else (key, spec)
+        for key, (attr, kind) in schema.items():
             value = getattr(holder, attr)
             if value is None:
                 continue

@@ -354,17 +354,14 @@ def semigroup_deviation_study(space: GalerkinSpace, A: CoefficientField,
                               stepper: str = "be", steps: int = 256,
                               yosida_mu: Optional[float] = None,
                               rel_step_tol: float = 0.01,
-                              max_steps: int = 1 << 15,
-                              system: Optional[AssembledProblem] = None
-                              ) -> SemigroupDeviationStudy:
+                              max_steps: int = 1 << 15) -> SemigroupDeviationStudy:
     """Sup-in-time deviation between perturbed and limit flows per epsilon.
 
     The step count is doubled until the step-doubling estimate of the
     deviation error drops below ``rel_step_tol`` of the deviation itself;
     the final estimate is recorded as the certified error.
     """
-    if system is None:
-        system = assemble_system(space, A)
+    system = assemble_system(space, A)
     g = np.asarray(g, dtype=float)
     gen0 = build_generator(space, A, LIMIT, system)
     epsilons = list(epsilons)
@@ -488,9 +485,7 @@ def parabolic_convergence(space: GalerkinSpace, A: CoefficientField,
                           u0_of_eps: Callable, u0_limit, epsilons,
                           T: float, stepper: str = "be", steps: int = 256,
                           source_loads: Optional[Callable] = None,
-                          tol: float = 1e-2,
-                          system: Optional[AssembledProblem] = None
-                          ) -> ParabolicReport:
+                          tol: float = 1e-2) -> ParabolicReport:
     """Evolution deviation with epsilon-dependent data and optional source.
 
     ``u0_of_eps`` maps epsilon to an initial coefficient vector; the same
@@ -499,8 +494,7 @@ def parabolic_convergence(space: GalerkinSpace, A: CoefficientField,
     the limit march and every epsilon share its loads.  Epsilons must be
     given in decreasing order.
     """
-    if system is None:
-        system = assemble_system(space, A)
+    system = assemble_system(space, A)
     if source_loads is not None:
         source_loads = functools.lru_cache(maxsize=None)(source_loads)
     u0_limit = np.asarray(u0_limit, dtype=float)

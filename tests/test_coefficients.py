@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisolab.coefficients import (CoefficientField, ReactionSpec, as_field,
-                                   compute_constants, grid_values,
-                                   integrate_on_domain, scale_matrix)
+from anisolab.coefficients import (LEDGER_FORMULAS, CoefficientField,
+                                   ReactionSpec, as_field, compute_constants,
+                                   grid_values, integrate_on_domain,
+                                   scale_matrix)
 from anisolab.expressions import parse_expression
 
 PI = math.pi
@@ -248,6 +250,38 @@ class TestGridValues:
         got = grid_values(fn, np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 4))
         assert got.shape == (6, 4)
         assert np.array_equal(got, np.ones((6, 4)))
+
+
+class TestLedgerValidation:
+    STRICTLY_POSITIVE = ("poincare_omega1", "poincare_omega2", "poincare_domain",
+                         "energy_const", "rate_const_grad", "dq_const",
+                         "dq_const_statement", "cea_limit_linear",
+                         "cea_perturbed_linear", "area_sqrt")
+
+    @pytest.fixture(scope="class")
+    def ledger(self, dom, A_identity, f_mode11):
+        return compute_constants(A_identity, dom, f_mode11, grid=33)
+
+    @pytest.mark.parametrize("entry,value,message", [
+        ("norm_f", math.nan, "ledger entry norm_f is not finite"),
+        ("sup_a12", -1.0, "ledger entry sup_a12 is negative"),
+        ("energy_const", 0.0, "ledger entry energy_const must be strictly positive"),
+    ])
+    def test_fault_names_the_entry(self, ledger, entry, value, message):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(ledger, **{entry: value}).validate()
+        assert str(err.value) == message
+
+    def test_zero_is_refused_exactly_for_the_strict_entries(self, ledger):
+        assert list(ledger.as_dict()) == list(LEDGER_FORMULAS)
+        assert set(self.STRICTLY_POSITIVE) < set(LEDGER_FORMULAS)
+        for name in LEDGER_FORMULAS:
+            zeroed = dataclasses.replace(ledger, **{name: 0.0})
+            if name in self.STRICTLY_POSITIVE:
+                with pytest.raises(ValueError, match="must be strictly positive"):
+                    zeroed.validate()
+            else:
+                assert zeroed.validate()
 
 
 class TestCoefficientValidation:

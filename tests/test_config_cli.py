@@ -514,6 +514,25 @@ class TestRepeatedKey:
         assert (cfg.problem.mu, cfg.study.mu) == (2.0, 3.0)
 
 
+class TestCodecErrors:
+    @pytest.mark.parametrize("section,line,message", [
+        ("study", "check_bound = True",
+         "line 2, column 14: expected true or false, got 'True'"),
+        ("discretization", "m1 = 1.5",
+         "line 2, column 5: invalid literal for int() with base 10: '1.5'"),
+        ("study", "sizes = 4,",
+         "line 2, column 8: invalid literal for int() with base 10: ''"),
+        ("problem", "domain = 0,1,0",
+         "line 2, column 9: domain needs exactly four numbers a1,b1,a2,b2"),
+        ("study", "epsilon = abc",
+         "line 2, column 10: could not convert string to float: 'abc'"),
+    ])
+    def test_bad_value_text(self, section, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"[{section}]\n{line}\n")
+        assert str(err.value) == message
+
+
 class TestProblemExpressionVariables:
     # a [problem] expression with a variable besides x1 and x2 used to skip
     # the finiteness check and end with an error that named no line
@@ -723,4 +742,28 @@ class TestInputsRejectedBeforeOutput:
         code = main(["run", "--config", str(cfg_path), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("export", ["{tmp}/escape.csv", "../x.csv"])
+    def test_export_outside_the_output_directory(self, tmp_path, capsys,
+                                                 export):
+        export = export.format(tmp=tmp_path)
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(CONFIG_DIR / "solve_identity.cfg"),
+                     "--out", str(out), "--export", export])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 28, column 1: export must be a file name in the "
+            f"output directory, got {export!r}\n")
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_linear_reaction_without_mu_at_the_key(self, tmp_path, capsys):
+        cfg_path = _edited(tmp_path, "solve_identity.cfg",
+                           {"beta = zero": "beta = linear\nmu = 0"})
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 13, column 1: linear reaction needs mu > 0\n")
         assert not out.exists()

@@ -14,8 +14,10 @@ arctan reaction, a rate study with a linear reaction).  Last, every config
 of both sets runs again with ``--basis q1``, which reaches the q1 kernels
 (the grid contraction of a 2D coefficient, the nonsymmetric LU route) that
 no config reaches as written; these runs are labelled
-``<config> --basis q1``.  For
-every report file one line is printed:
+``<config> --basis q1``.  Then every config of both sets runs as
+``anisolab constants --config <cfg> --out <dir>``, whose standard output
+prints every ledger entry with its formula; these runs are labelled
+``<config> constants``.  For every report file one line is printed:
 
 * ``identical``;
 * ``numeric-only``, with the largest change ``|new - old| / max(1, |old|)``
@@ -26,7 +28,8 @@ every report file one line is printed:
 The exit status is 1 when a report is missing on one side or its text
 differs, a number moves by more than ``TOLERANCE * max(1, |old|)``, or the
 exit codes, standard output or standard error of a run differ; otherwise 0.
-The closing line counts the runs that agree: shipped, shared and q1 apart.
+The closing line counts the runs that agree: shipped, shared, q1 and
+constants apart.
 Standard library only.
 """
 
@@ -78,19 +81,21 @@ def classify(old: bytes, new: bytes):
     return "numeric-only", max(changes)
 
 
-def run(src: Path, config: Path, out: Path, options=()):
-    """Exit code, stdout and stderr of one CLI run in a fresh interpreter."""
+def run(src: Path, config: Path, out: Path, options=(), command="run"):
+    """Exit code, stdout and stderr of one CLI ``command`` in a fresh
+    interpreter."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", RUN, "run", "--config",
+    proc = subprocess.run([sys.executable, "-c", RUN, command, "--config",
                            str(config), "--out", str(out), *options],
                           env=env, capture_output=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
 def compare_config(name: str, old_config: Path, new_config: Path,
-                   old_src: Path, new_src: Path, work: Path, options=()) -> bool:
-    """Run one config under both trees with the CLI ``options``, print the
-    per-file lines under ``name``; True if they agree."""
+                   old_src: Path, new_src: Path, work: Path, options=(),
+                   command="run") -> bool:
+    """Run one config under both trees as the CLI ``command`` with its
+    ``options``, print the per-file lines under ``name``; True if they agree."""
     ok = True
     runs = []
     for side, config, src in (("old", old_config, old_src), ("new", new_config, new_src)):
@@ -98,7 +103,7 @@ def compare_config(name: str, old_config: Path, new_config: Path,
             print(f"{name}: missing in {side} tree")
             return False
         out = work / side / name
-        runs.append((out, run(src, config, out, options)))
+        runs.append((out, run(src, config, out, options, command)))
     (old_out, old_run), (new_out, new_run) = runs
     for label, a, b in zip(("exit code", "stdout", "stderr"), old_run, new_run):
         if a != b:
@@ -143,11 +148,15 @@ def main(argv=None) -> int:
         q1 = [compare_config(f"{name} --basis q1", old, new, old_src, new_src,
                              Path(tmp), ("--basis", "q1"))
               for name, old, new in configs]
+        constants = [compare_config(f"{name} constants", old, new, old_src,
+                                    new_src, Path(tmp), command="constants")
+                     for name, old, new in configs]
     shipped, extra = agree[:len(names)], agree[len(names):]
     print(f"{sum(shipped)} of {len(shipped)} shipped configs, "
-          f"{sum(extra)} of {len(extra)} tools/configs and "
-          f"{sum(q1)} of {len(q1)} --basis q1 runs agree")
-    return 0 if all(agree + q1) else 1
+          f"{sum(extra)} of {len(extra)} tools/configs, "
+          f"{sum(q1)} of {len(q1)} --basis q1 and "
+          f"{sum(constants)} of {len(constants)} constants runs agree")
+    return 0 if all(agree + q1 + constants) else 1
 
 
 if __name__ == "__main__":
