@@ -1,5 +1,6 @@
 """Command line interface: parse a config, run the requested study, and emit
-deterministic CSV/JSON reports.
+deterministic CSV/JSON reports.  Each ``summary.json`` section is read off
+the study's report object by field name (``_fields``, ``asdict``).
 
 ``--epsilon-list``, ``--basis`` and ``--export`` reach the config as
 overrides of ``load_config``, so they pass the config's own checks and a
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 from . import diagnostics, semigroup
@@ -28,11 +30,12 @@ from .coefficients import (HypothesisNotSatisfied, compute_constants,
                            LEDGER_FORMULAS)
 from .config import (ConfigError, ExperimentConfig, build_problem_objects,
                      emit_config, load_config, make_space)
+from .diagnostics import RATE_SLOPE_MIN
 from .elliptic import (ProblemSpec, apriori_check, export_solution_csv,
                        galerkin_solve)
 from .expressions import parse_expression
 from .linsolve import IndefiniteOperatorError, NonConvergenceError
-from .reports import write_csv, write_summary
+from .reports import CSV_COLUMNS, write_csv, write_summary
 from .semigroup import ContractionError, StepperAccuracyError
 
 __all__ = ["main", "run_config"]
@@ -49,6 +52,15 @@ def _ledger(problem: ProblemSpec):
                              problem.source, problem.reaction)
 
 
+def _fields(report, *names) -> dict:
+    """The named attributes of a report object, as a summary section."""
+    return {name: getattr(report, name) for name in names}
+
+
+def _refuse(summary, study, reason):
+    summary["refusals"].append({"study": study, "reason": reason})
+
+
 def _run_solve(cfg, problem, outdir, summary):
     problem = problem.with_epsilon(cfg.study.epsilon)
     space = make_space(cfg, problem.domain)
@@ -58,11 +70,9 @@ def _run_solve(cfg, problem, outdir, summary):
     apriori = apriori_check(sol, ledger, problem, system)
     summary["constants"] = ledger.as_dict()
     summary["solve"] = {
-        "dim": space.dim,
-        "epsilon": cfg.study.epsilon,
-        "final_residual": sol.final_residual,
-        "picard_iterations": sol.picard_iterations,
-        "apriori": {c.name: {"lhs": c.lhs, "rhs": c.rhs, "passed": c.passed}
+        **_fields(sol, "final_residual", "picard_iterations"),
+        "dim": space.dim, "epsilon": cfg.study.epsilon,
+        "apriori": {c.name: _fields(c, "lhs", "rhs", "passed")
                     for c in apriori.checks},
     }
     export = cfg.study.export or "grid.csv"
@@ -85,23 +95,19 @@ def _run_rate(cfg, problem, outdir, summary):
     write_csv(outdir / "rate.csv", "rate", zip(
         study.epsilons, study.e_x1, study.e_x2, study.e_l2, bounds,
         [verdict] * len(study.epsilons)))
-    summary["rate"] = {
-        "epsilons": study.epsilons, "e_x1": study.e_x1, "e_x2": study.e_x2,
-        "e_l2": study.e_l2, "slope": study.slope, "bound": study.bound,
-        "bound_galerkin": study.bound_galerkin,
-    }
+    summary["rate"] = _fields(study, "epsilons", "e_x1", "e_x2", "e_l2",
+                              "slope", "bound", "bound_galerkin")
     if study.refusal:
-        summary["refusals"].append({"study": "rate", "reason": study.refusal})
+        _refuse(summary, "rate", study.refusal)
         return
-    summary["verdicts"]["rate_slope_ge_0.95"] = study.slope >= 0.95
+    summary["verdicts"]["rate_slope_ge_0.95"] = study.slope >= RATE_SLOPE_MIN
     if cfg.study.check_bound:
         summary["verdicts"]["rate_bound"] = bool(study.bound_verdict)
     if cfg.problem.beta == "linear":
         mu_study = diagnostics.linear_reaction_rate_study(
             problem, space, list(cfg.study.epsilons), mus=cfg.study.mus)
         if mu_study.refusal:
-            summary["refusals"].append({"study": "rate-linear-reaction",
-                                        "reason": mu_study.refusal})
+            _refuse(summary, "rate-linear-reaction", mu_study.refusal)
             return
         summary["rate_linear_reaction"] = {
             "mus": mu_study.mus,
@@ -117,15 +123,9 @@ def _run_cea(cfg, problem, outdir, summary):
               for n in cfg.study.sizes]
     report = diagnostics.cea_check(spaces, problem, damping=cfg.study.damping)
     summary["constants"] = report.ledger.as_dict()
-    write_csv(outdir / "cea.csv", "cea",
-              ((r.dim, r.galerkin_error, r.best_error, r.bound_rhs, r.passed)
-               for r in report.rows))
-    summary["cea"] = {
-        "kind": report.kind,
-        "rows": [{"dim": r.dim, "galerkin_error": r.galerkin_error,
-                  "best_error": r.best_error, "bound_rhs": r.bound_rhs,
-                  "passed": r.passed} for r in report.rows],
-    }
+    rows = [_fields(r, *CSV_COLUMNS["cea"]) for r in report.rows]
+    write_csv(outdir / "cea.csv", "cea", (row.values() for row in rows))
+    summary["cea"] = {"kind": report.kind, "rows": rows}
     summary["verdicts"]["cea_bound"] = report.all_passed
 
 
@@ -137,12 +137,8 @@ def _run_ap(cfg, problem, outdir, summary):
               ((eps, n, report.grid[i, j])
                for i, eps in enumerate(report.epsilons)
                for j, n in enumerate(report.sizes)))
-    summary["ap"] = {
-        "epsilons": report.epsilons, "sizes": report.sizes,
-        "row_trace": report.row_trace, "col_trace": report.col_trace,
-        "commutation_gap": report.commutation_gap,
-        "finest_error": report.finest_error,
-    }
+    summary["ap"] = _fields(report, "epsilons", "sizes", "row_trace",
+                            "col_trace", "commutation_gap", "finest_error")
     summary["verdicts"]["ap_row_monotone"] = report.row_monotone
     summary["verdicts"]["ap_col_monotone"] = report.col_monotone
     summary["verdicts"]["ap_gap"] = report.gap_ok
@@ -152,12 +148,8 @@ def _run_dq(cfg, problem, outdir, summary):
     space = make_space(cfg, problem.domain)
     report = diagnostics.difference_quotient_bound(problem, space)
     summary["constants"] = report.ledger.as_dict()
-    summary["dq"] = {
-        "lhs": report.lhs, "grad_f": report.grad_f, "rhs": report.rhs,
-        "rhs_statement": report.rhs_statement,
-        "rhs_inspace": report.rhs_inspace,
-        "statement_passed": report.statement_passed,
-    }
+    summary["dq"] = _fields(report, "lhs", "grad_f", "rhs", "rhs_statement",
+                            "rhs_inspace", "statement_passed")
     summary["verdicts"]["dq_bound"] = report.passed
 
 
@@ -167,15 +159,12 @@ def _run_resolvent(cfg, problem, outdir, summary):
                                           list(cfg.study.epsilons),
                                           cfg.study.mu, problem.source)
     if study.refusal:
-        summary["refusals"].append({"study": "resolvent",
-                                    "reason": study.refusal})
+        _refuse(summary, "resolvent", study.refusal)
         return
     write_csv(outdir / "resolvent.csv", "resolvent",
               zip(study.epsilons, study.deviations))
-    summary["resolvent"] = {"epsilons": study.epsilons,
-                            "deviations": study.deviations,
-                            "slope": study.slope}
-    summary["verdicts"]["resolvent_slope_ge_0.95"] = study.slope >= 0.95
+    summary["resolvent"] = _fields(study, "epsilons", "deviations", "slope")
+    summary["verdicts"]["resolvent_slope_ge_0.95"] = study.slope >= RATE_SLOPE_MIN
 
 
 def _run_semigroup(cfg, problem, outdir, summary):
@@ -184,19 +173,15 @@ def _run_semigroup(cfg, problem, outdir, summary):
     study = semigroup.semigroup_deviation_study(
         space, problem.coefficients, list(cfg.study.epsilons), g,
         cfg.study.T, stepper=cfg.study.stepper, steps=cfg.study.steps,
-        yosida_mu=cfg.study.yosida_mu if cfg.study.stepper == "yosida" else None)
+        yosida_mu=cfg.study.yosida_mu)
     write_csv(outdir / "deviation_trace.csv", "deviation_trace",
               ((eps, t, d) for eps in sorted(study.traces, reverse=True)
                for t, d in zip(*study.traces[eps])))
     write_csv(outdir / "deviation_summary.csv", "deviation_summary",
               ((r.epsilon, r.deviation, study.slope) for r in study.rows))
-    summary["semigroup"] = {
-        "T": study.T, "slope": study.slope,
-        "rows": [{"epsilon": r.epsilon, "deviation": r.deviation,
-                  "deviation_2t": r.deviation_2t, "steps": r.steps,
-                  "certified_error": r.certified_error} for r in study.rows],
-    }
-    summary["verdicts"]["semigroup_slope_ge_0.95"] = study.slope >= 0.95
+    summary["semigroup"] = {**_fields(study, "T", "slope"),
+                            "rows": [asdict(r) for r in study.rows]}
+    summary["verdicts"]["semigroup_slope_ge_0.95"] = study.slope >= RATE_SLOPE_MIN
     summary["verdicts"]["semigroup_certified"] = study.certified
     summary["verdicts"]["semigroup_linear_in_T"] = study.linear_in_horizon
 
@@ -223,14 +208,8 @@ def _run_parabolic(cfg, problem, outdir, summary):
         space, problem.coefficients, u0_of_eps, u0,
         list(cfg.study.epsilons), cfg.study.T, stepper=cfg.study.stepper,
         steps=cfg.study.steps, source_loads=source_loads, tol=cfg.study.tol)
-    write_csv(outdir / "parabolic.csv", "parabolic",
-              ((r.epsilon, r.initial_gap, r.sup_deviation)
-               for r in report.rows))
-    summary["parabolic"] = {
-        "rows": [{"epsilon": r.epsilon, "initial_gap": r.initial_gap,
-                  "sup_deviation": r.sup_deviation} for r in report.rows],
-        "tol": report.tol,
-    }
+    write_csv(outdir / "parabolic.csv", "parabolic", map(astuple, report.rows))
+    summary["parabolic"] = asdict(report)
     summary["verdicts"]["parabolic_monotone"] = report.monotone
     summary["verdicts"]["parabolic_below_tol"] = report.final_below_tol
 
@@ -288,8 +267,7 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
         return summary, 3
     if summary["refusals"]:
         return summary, 2
-    all_pass = all(summary["verdicts"].values()) if summary["verdicts"] else True
-    return summary, 0 if all_pass else 1
+    return summary, 0 if all(summary["verdicts"].values()) else 1
 
 
 def _build_parser():

@@ -204,7 +204,7 @@ class CoefficientField:
     offdiag_mixed_deriv_in_l2: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("ellipticity constant must be positive")
         for name in ("a11", "a12", "a21", "a22"):
             setattr(self, name, as_field(getattr(self, name), label=name))

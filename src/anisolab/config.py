@@ -6,10 +6,10 @@ gives its codec kind in ``_CODECS`` and, for ``lambda``, its file name; the
 key table ``_SCHEMA`` is read from the fields.  The parsed configuration
 round-trips: ``parse_config(emit_config(cfg))`` reproduces ``cfg`` exactly.
 ``_validate``, the one semantic check, reads each fact from its owner
-(basis families, ``TensorDomain``, the reactions) and reports a fault at
-its key, also in a value the command line puts in its place.  Builders
-turn a configuration into the domain, coefficient, source, reaction, and
-space objects of the library.
+(basis families, ``TensorDomain``, the reactions, the march settings of
+``semigroup``) and reports a fault at its key, also in a value the
+command line puts in its place.  Builders turn a configuration into the
+domain, coefficient, source, reaction, and space objects of the library.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 from .coefficients import (VALIDATE_GRID, CoefficientField, ReactionSpec, SourceField,
                            _interval_rule, _sample_axes, as_field, grid_values)
 from .expressions import ExpressionError, parse_expression
+from .semigroup import evolution_faults
 from .spaces import (_FAMILIES, SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain,
                      build_space)
 
@@ -149,12 +150,18 @@ def _parse_bool(text):
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _parse_float(text):
+    value = math.pi if text == "pi" else float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # scalar kind -> (parser, writer); a parser raises ValueError on bad text.
 # A "<kind>_list" value is comma-separated scalars, "float_list4" four floats;
 # an "expr" value is stored as the text between its double quotes.
 _CODECS = {
-    "float": (lambda text: math.pi if text == "pi" else float(text),
-              lambda value: repr(float(value))),
+    "float": (_parse_float, lambda value: repr(float(value))),
     "int": (int, lambda value: str(int(value))),
     "bool": (_parse_bool, lambda value: "true" if value else "false"),
     "word": (str, str),
@@ -256,6 +263,10 @@ def _validate(cfg: ExperimentConfig, where: dict):
             if not (0.0 < eps <= 1.0):
                 raise error(f"epsilon must lie in (0,1], got {eps!r}",
                             "study", attr)
+    for attr, message in evolution_faults(st):
+        raise error(message, "study", attr)
+    if st.mu <= 0:
+        raise error("resolvent parameter must be positive", "study", "mu")
     if cfg.problem.beta not in _REACTIONS:
         raise error(f"unknown reaction {cfg.problem.beta!r}", "problem", "beta")
     try:

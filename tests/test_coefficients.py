@@ -300,6 +300,11 @@ class TestCoefficientValidation:
         with pytest.raises(ValueError, match="x2-only"):
             A.validate(dom)
 
+    def test_nan_ellipticity_constant_refused(self):
+        with pytest.raises(ValueError, match="ellipticity constant must be "
+                                             "positive"):
+            CoefficientField(1.0, 0.0, 0.0, 1.0, lam=math.nan)
+
     @pytest.mark.filterwarnings("ignore:divide by zero")
     def test_nonfinite_coefficient_detected(self, dom):
         A = CoefficientField(1.0, 0.0, 0.0,

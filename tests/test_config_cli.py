@@ -767,3 +767,86 @@ class TestInputsRejectedBeforeOutput:
         assert capsys.readouterr().err == (
             "error: line 13, column 1: linear reaction needs mu > 0\n")
         assert not out.exists()
+
+
+class TestFlowAndNumberInputs:
+    # in solve_identity.cfg lambda sits on line 8; in semigroup_identity.cfg
+    # T, stepper and steps on lines 28 to 30; in resolvent_identity.cfg the
+    # study's mu on line 28.  A number's fault is reported at its value.
+    @pytest.mark.parametrize("cfg_name,edits,message", [
+        ("solve_identity.cfg", {"lambda = 1": "lambda = nan"},
+         "line 8, column 9: expected a finite number, got 'nan'"),
+        ("semigroup_identity.cfg", {"T = 2": "T = inf"},
+         "line 28, column 4: expected a finite number, got 'inf'"),
+        ("semigroup_identity.cfg", {"T = 2": "T = -1"},
+         "line 28, column 1: final time must be nonnegative"),
+        ("semigroup_identity.cfg", {"stepper = be": "stepper = foo"},
+         "line 29, column 1: unknown stepper 'foo'"),
+        ("semigroup_identity.cfg", {"steps = 256": "steps = 0"},
+         "line 30, column 1: positive horizon needs at least one step"),
+        ("semigroup_identity.cfg",
+         {"stepper = be": "stepper = yosida\nyosida_mu = 0"},
+         "line 30, column 1: the bounded-operator stepper needs yosida_mu > 0"),
+        ("resolvent_identity.cfg", {"mu = 1": "mu = -1"},
+         "line 28, column 1: resolvent parameter must be positive"),
+    ])
+    def test_config_error_at_the_key(self, tmp_path, capsys, cfg_name, edits,
+                                     message):
+        cfg_path = _edited(tmp_path, cfg_name, edits)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestRunnerSections:
+    def test_rate_with_linear_reaction(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(TOOL_CONFIG_DIR / "rate_linear.cfg"),
+                     "--out", str(out)])
+        assert code == 0
+        data = json.loads((out / "summary.json").read_text())
+        section = data["rate_linear_reaction"]
+        assert set(section) == {"mus", "e_x2", "scaled"}
+        assert section["mus"] == [1.0, 10.0, 100.0]
+        n_eps = len(data["rate"]["epsilons"])
+        for key in ("e_x2", "scaled"):
+            assert list(section[key]) == ["1.0", "10.0", "100.0"]
+            assert all(len(v) == n_eps for v in section[key].values())
+        assert data["verdicts"] == {"rate_bound": True,
+                                    "rate_slope_ge_0.95": True,
+                                    "rate_mu_bounded": True,
+                                    "rate_mu_shrink": True}
+
+    def test_resolvent_refusal(self, tmp_path):
+        cfg_path = _edited(tmp_path, "resolvent_identity.cfg", {
+            "offdiag_mixed_deriv_in_l2 = true":
+                "offdiag_mixed_deriv_in_l2 = false"})
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        data = json.loads((out / "summary.json").read_text())
+        assert data["refusals"] == [{
+            "study": "resolvent",
+            "reason": "missing hypotheses: offdiag_mixed_deriv_in_l2"}]
+        assert not (out / "resolvent.csv").exists()
+
+    def test_cea_rows_agree_with_the_csv(self, tmp_path):
+        from anisolab.reports import CSV_COLUMNS
+
+        code = main(["run", "--config", str(CONFIG_DIR / "cea_variable_a22.cfg"),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        columns = CSV_COLUMNS["cea"]
+        rows = json.loads((tmp_path / "summary.json").read_text())["cea"]["rows"]
+        lines = (tmp_path / "cea.csv").read_text().splitlines()
+        assert lines[0] == ",".join(columns)
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            assert set(row) == set(columns)
+            cells = dict(zip(columns, line.split(",")))
+            assert int(cells["dim"]) == row["dim"]
+            assert cells["passed"] == json.dumps(row["passed"])
+            for name in ("galerkin_error", "best_error", "bound_rhs"):
+                assert float(cells[name]) == row[name]
