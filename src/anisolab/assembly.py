@@ -9,25 +9,30 @@ with ``t`` the test selector and ``s`` the trial selector.  Every form is a
 remainders.  Two kernels are used depending on the structure of the
 coefficient:
 
-* constant or single-variable coefficients give one factored term of two
-  1D matrices, dense for sine and sparse (tridiagonal) for Q1; the
-  coefficient-free factors are built once per space;
-* genuinely 2D coefficients give a remainder by a contraction over the
-  quadrature grid, restricted in each direction to the basis pairs whose
+* a separable coefficient, a sum of products ``scale * g(x1) * h(x2)``
+  (``ScalarField.products``; a constant or one-variable coefficient is one
+  such product), gives one factored term per product, of two 1D matrices
+  weighted by ``g`` and ``h``: dense for sine and sparse (tridiagonal) for
+  Q1; the coefficient-free factors are built once per space;
+* a coefficient that does not split gives a remainder by a contraction over
+  the quadrature grid, restricted in each direction to the basis pairs whose
   supports overlap (every pair for sine, neighbours for Q1): dense for
   sine x sine, CSR when either direction is Q1.
+
+Loads follow the same split: a separable source is a sum of outer products
+of 1D loads, any other source is contracted on the quadrature grid.
 
 The public ``bilinear_form`` family and ``AssembledProblem.stiffness``
 return the CSR materialisation of these operators; the Galerkin solves
 apply them factored.
 
 The quadrature grid belongs to the space: every kernel and load reads its
-rules and basis tables through :meth:`GalerkinSpace.rule`, and the loads
-are :meth:`GalerkinSpace.load` of grid values.  Coefficients and sources are
-evaluated on the grid along its axes (``coefficients.grid_values``), and a
-one-variable coefficient on its own axis only (``coefficients._axis_values``),
-so a factor of one variable is computed once per point of its axis.
-Every discrete norm ``sqrt(v^T G v)`` is :func:`energy_norm`.
+rules and basis tables through :meth:`GalerkinSpace.rule`, and the loads of
+sources that do not split are :meth:`GalerkinSpace.load` of grid values.
+Such coefficients and sources are evaluated on the grid along its axes
+(``coefficients.grid_values``), and a factor of one variable on its own axis
+only (``coefficients._axis_values``), so it is computed once per point of
+its axis.  Every discrete norm ``sqrt(v^T G v)`` is :func:`energy_norm`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ import scipy.sparse as sp
 
 from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_values,
                            as_field, grid_values, scale_matrix)
-from .linsolve import _is_symmetric
+from .linsolve import _is_symmetric, _max_abs
 from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis
 
 __all__ = [
@@ -158,15 +163,33 @@ class KronOperator:
         return out.tocsr()
 
     def toarray(self) -> np.ndarray:
-        def dense(B):
-            return B.toarray() if sp.issparse(B) else B
-
         out = np.zeros(self.shape)
         for c, B1, B2 in self.terms:
-            out += c * np.kron(dense(B1), dense(B2))
+            out += c * np.kron(_dense(B1), _dense(B2))
         for s, R in self.remainders:
-            out += s * dense(R)
+            out += s * _dense(R)
         return out
+
+    def row_blocks(self):
+        """``(K[rows], K^T[rows])`` as dense arrays for each block of ``n2``
+        rows (one ``i`` of the flat index ``i * n2 + j``): O(n1 n2^2) memory
+        per block, where the whole matrix takes (n1 n2)^2."""
+        terms = [(c, _dense(B1), _dense(B2)) for c, B1, B2 in self.terms]
+        for i in range(self.n1):
+            rows = slice(i * self.n2, (i + 1) * self.n2)
+            block = np.zeros((self.n2, self.shape[1]))
+            block_t = np.zeros_like(block)
+            for c, B1, B2 in terms:
+                block += c * np.kron(B1[i:i + 1], B2)
+                block_t += c * np.kron(B1[:, i:i + 1].T, B2.T)
+            for s, R in self.remainders:
+                block += s * _dense(R[rows])
+                block_t += s * _dense(R[:, rows]).T
+            yield block, block_t
+
+
+def _dense(B):
+    return B.toarray() if sp.issparse(B) else B
 
 
 def _pick(selector: int, direction: int, V, D):
@@ -199,27 +222,39 @@ def _plain_factor(space: GalerkinSpace, direction: int, test_sel: int,
                       _matrix_1d(space, direction, test_sel, trial_sel))
 
 
-def _kron_path(space, coef: ScalarField, test_sel: int, trial_sel: int):
-    """One factored term; its 1D factors are sparse in Q1 directions."""
-    n1, n2 = space.basis1.dim, space.basis2.dim
-    deps = coef.deps
-    c1 = c2 = None
-    scale = 1.0
-    if not deps:
-        scale = coef.constant_value()
-        if scale == 0.0:
-            return KronOperator(n1, n2)
-    elif deps == {"x1"}:
-        c1 = _axis_values(coef, *space.grid_axes).ravel()
-    else:  # {"x2"}
-        c2 = _axis_values(coef, *space.grid_axes).ravel()
-    factors = []
-    for direction, c in ((1, c1), (2, c2)):
-        # a selector of the other direction picks the value table here
-        t, s = (sel if sel == direction else 0 for sel in (test_sel, trial_sel))
-        factors.append(_plain_factor(space, direction, t, s) if c is None else
-                       _as_factor(space, direction, _matrix_1d(space, direction, t, s, c)))
-    return KronOperator(n1, n2, [(scale, *factors)])
+def _finite(values, name: str):
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} produced non-finite values on the quadrature grid")
+    return values
+
+
+def _part_values(space: GalerkinSpace, direction: int, part: ScalarField,
+                 name: str):
+    """A one-variable factor on the quadrature points of its direction."""
+    # a division by zero is reported by the check, not as a warning
+    with np.errstate(all="ignore"):
+        return _finite(_axis_values(part, *space.grid_axes).ravel(), name)
+
+
+def _factored_path(space, products, test_sel: int, trial_sel: int):
+    """One factored term ``scale B1 (x) B2`` per product ``(scale, g, h)``;
+    each 1D factor is weighted by its part (coefficient free for None) and
+    is sparse in a Q1 direction."""
+    terms = []
+    for scale, *parts in products:
+        if _finite(scale, "coefficient") == 0.0:
+            continue
+        factors = []
+        for direction, part in zip((1, 2), parts):
+            # a selector of the other direction picks the value table here
+            t, s = (sel if sel == direction else 0 for sel in (test_sel, trial_sel))
+            factors.append(
+                _plain_factor(space, direction, t, s) if part is None else
+                _as_factor(space, direction, _matrix_1d(
+                    space, direction, t, s,
+                    _part_values(space, direction, part, "coefficient"))))
+        terms.append((scale, *factors))
+    return KronOperator(space.basis1.dim, space.basis2.dim, terms)
 
 
 def _pair_table(space: GalerkinSpace, direction: int, test_sel: int,
@@ -257,19 +292,18 @@ def _grid_path(space: GalerkinSpace, coef_values, test_sel: int, trial_sel: int)
 
 
 def _coef_on_grid(space, coef: ScalarField, name: str = "coefficient"):
-    # a division by zero is reported by the check below, not as a warning
+    # a division by zero is reported by the check, not as a warning
     with np.errstate(all="ignore"):
-        vals = grid_values(coef, *space.grid_axes)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{name} produced non-finite values on the quadrature grid")
-    return vals
+        return _finite(grid_values(coef, *space.grid_axes), name)
 
 
 def _form(space: GalerkinSpace, coef: ScalarField, test_sel: int,
           trial_sel: int) -> KronOperator:
-    """``integral c * D^t(test) * D^s(trial)`` as a factored operator."""
-    if coef.deps <= {"x1"} or coef.deps <= {"x2"}:
-        return _kron_path(space, coef, test_sel, trial_sel)
+    """``integral c * D^t(test) * D^s(trial)`` as a factored operator: one
+    term per product of ``coef.products``, the grid contraction when the
+    coefficient does not split."""
+    if coef.products is not None:
+        return _factored_path(space, coef.products, test_sel, trial_sel)
     R = _grid_path(space, _coef_on_grid(space, coef), test_sel, trial_sel)
     return KronOperator(space.basis1.dim, space.basis2.dim, remainders=((1.0, R),))
 
@@ -333,10 +367,28 @@ def norm_matrices(space: GalerkinSpace):
 
 
 def assemble_load(space: GalerkinSpace, f):
-    """Load vector of the source ``f`` (SourceField, field, callable, or constant)."""
+    """Load vector of the source ``f`` (SourceField, field, callable, or
+    constant): ``sum scale * outer(V1^T (w1 g), V2^T (w2 h))`` over the
+    products of a source that splits, else :meth:`GalerkinSpace.load` of its
+    grid values."""
     if isinstance(f, SourceField):
         f = f.f
-    return space.load(_coef_on_grid(space, as_field(f), "source"))
+    f = as_field(f)
+    if f.products is None:
+        return space.load(_coef_on_grid(space, f, "source"))
+    out = np.zeros((space.basis1.dim, space.basis2.dim))
+    for scale, g, h in f.products:
+        out += _finite(scale, "source") * np.outer(_load_1d(space, 1, g),
+                                                   _load_1d(space, 2, h))
+    return out.ravel()
+
+
+def _load_1d(space: GalerkinSpace, direction: int, part):
+    """``V^T (w c)`` of one direction, ``c`` a source factor on its points
+    (1 for None)."""
+    _, w, V, _ = space.rule(direction)
+    return V.T @ (w if part is None else w * _part_values(space, direction, part,
+                                                          "source"))
 
 
 def energy_norm(G, v) -> float:
@@ -391,6 +443,12 @@ def pencil_eigenbasis(space: GalerkinSpace, direction: int):
     return Q, np.einsum("ij,ij->j", Q, S @ Q)
 
 
+def _transposed(A, B, tol=1e-12) -> bool:
+    """``max|B - A^T| <= tol * max|A|``: ``B`` is ``A^T`` by the relative
+    test of ``_is_symmetric``."""
+    return _max_abs(B - A.T) <= tol * max(_max_abs(A), 1e-300)
+
+
 @dataclass
 class AssembledProblem:
     """All operators of one (space, coefficients) pair, plus an optional load.
@@ -426,9 +484,30 @@ class AssembledProblem:
         """Symmetry verdict of every ``operator``, taken once per system.
 
         ``K11``, ``K22`` and ``M`` are symmetric by construction, so only
-        ``K12 + K21`` is checked, and only when it is nonzero.
+        ``K12 + K21`` is checked, and only when it is nonzero.  A term
+        ``c A (x) B`` of ``K12`` and a term ``c A' (x) B'`` of ``K21`` with
+        ``A' = A^T`` and ``B' = B^T`` sum to a symmetric matrix, so each such
+        pair is settled on its 1D factors, by the relative test of
+        ``_is_symmetric``.  The unpaired terms and the remainders are checked
+        as a matrix: by row blocks when they are dense, else as CSR.
         """
-        return self.coupling.is_zero or _is_symmetric(self.coupling.tocsr())
+        unpaired = list(self.K21.terms)
+        rest = []
+        for c, A, B in self.K12.terms:
+            match = next((k for k, (c2, A2, B2) in enumerate(unpaired)
+                          if c2 == c and _transposed(A, A2) and _transposed(B, B2)),
+                         None)
+            if match is None:
+                rest.append((c, A, B))
+            else:
+                del unpaired[match]
+        left = KronOperator(self.K12.n1, self.K12.n2, rest + unpaired,
+                            self.coupling.remainders)
+        if left.is_zero:
+            return True
+        pieces = [B for term in left.terms for B in term[1:]]
+        pieces += [R for _, R in left.remainders]
+        return _is_symmetric(left.tocsr() if any(map(sp.issparse, pieces)) else left)
 
     def operator(self, epsilon: Optional[float] = None,
                  mu: float = 0.0) -> KronOperator:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "scale_matrix",
     "ConstantLedger",
     "compute_constants",
+    "structure_faults",
     "integrate_on_domain",
     "HypothesisNotSatisfied",
     "REQUIRED_HYPOTHESES",
@@ -76,19 +78,23 @@ def missing_hypotheses(study: str, A: "CoefficientField",
 class ScalarField:
     """Scalar function of ``(x1, x2)`` with optional declared partials.
 
-    ``deps`` records which variables the value actually depends on; assembly
-    uses it to pick factorized Kronecker paths for constant or single-variable
-    coefficients.  ``fn`` must be elementwise and broadcast: tensor grids
-    call it with the axis arrays ``x1[:, None]`` and ``x2[None, :]``.
+    ``deps`` records which variables the value actually depends on, and
+    ``products`` splits the field into products of one-variable factors;
+    assembly keeps every such product factored.  ``fn`` must be elementwise
+    and broadcast: tensor grids call it with the axis arrays ``x1[:, None]``
+    and ``x2[None, :]``.  ``expression`` is the :class:`Expression` the field
+    evaluates, if any.
     """
 
     def __init__(self, fn: Callable, deps, dx1: Optional["ScalarField"] = None,
-                 dx2: Optional["ScalarField"] = None, label: str = ""):
+                 dx2: Optional["ScalarField"] = None, label: str = "",
+                 expression: Optional[Expression] = None):
         self._fn = fn
         self.deps = frozenset(deps)
         self.dx1 = dx1
         self.dx2 = dx2
         self.label = label
+        self._expression = expression
 
     def __call__(self, x1, x2):
         out = self._fn(x1, x2)
@@ -103,6 +109,26 @@ class ScalarField:
         if not self.is_constant:
             raise ValueError(f"field {self.label or self._fn} is not constant")
         return float(np.asarray(self._fn(0.0, 0.0)))
+
+    @cached_property
+    def products(self):
+        """The field as products ``(scale, g, h)`` of a field ``g`` of x1
+        and a field ``h`` of x2, None standing for 1, whose sum is the field;
+        None when it does not split so.  A constant or a field of one
+        variable is one product of itself; a field of both variables splits
+        when it was made from an :class:`Expression` that splits
+        (:meth:`Expression.separable`), and a callable never does."""
+        if not self.deps:
+            return ((self.constant_value(), None, None),)
+        if self.deps == {"x1"}:
+            return ((1.0, self, None),)
+        if self.deps == {"x2"}:
+            return ((1.0, None, self),)
+        split = None if self._expression is None else self._expression.separable()
+        if split is None:
+            return None
+        return tuple((s, None if g is None else as_field(g),
+                      None if h is None else as_field(h)) for s, g, h in split)
 
     def scaled(self, factor: float) -> "ScalarField":
         return ScalarField(lambda x1, x2, f=self._fn: factor * np.asarray(f(x1, x2), dtype=float),
@@ -126,7 +152,7 @@ def as_field(value, dx1=None, dx2=None, label="") -> ScalarField:
         return ScalarField(lambda x1, x2: value(x1=x1, x2=x2), deps,
                            dx1=as_field(dx1) if dx1 is not None else None,
                            dx2=as_field(dx2) if dx2 is not None else None,
-                           label=value.source)
+                           label=value.source, expression=value)
     if np.isscalar(value):
         v = float(value)
         return ScalarField(lambda x1, x2: np.full(np.broadcast_shapes(np.shape(x1), np.shape(x2)), v),
@@ -225,22 +251,34 @@ class CoefficientField:
         for name, v in zip(("a11", "a12", "a21", "a22"), vals):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"coefficient {name} is not finite on the domain")
-        rng = np.random.default_rng(seed)
-        xi = rng.normal(size=(xi_samples, 2))
-        xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-        a11, a12, a21, a22 = vals
-        for u, v in xi:
-            quad = a11 * u * u + (a12 + a21) * u * v + a22 * v * v
-            if np.min(quad) < self.lam - tol:
-                raise ValueError(
-                    f"ellipticity check failed: min A xi.xi = {np.min(quad):.6g} "
-                    f"< lam = {self.lam} for xi = ({u:.3f}, {v:.3f})")
-        if self.a22_depends_only_on_x2:
-            spread = np.max(np.abs(a22 - a22[:1, :]))
-            if spread > 1e-12 * max(1.0, np.max(np.abs(a22))):
-                raise ValueError(
-                    f"a22 declared x2-only but varies with x1 (spread {spread:.3g})")
+        for _, message in structure_faults(vals, self.lam,
+                                           self.a22_depends_only_on_x2,
+                                           xi_samples, seed, tol):
+            raise ValueError(message)
         return True
+
+
+def structure_faults(values, lam: float, a22_depends_only_on_x2: bool,
+                     xi_samples: int = 8, seed: int = 0, tol: float = 1e-10):
+    """``(entry, message)`` for each failed structure check of the sampled
+    coefficients ``values = (a11, a12, a21, a22)``: ellipticity against
+    ``lam`` in ``xi_samples`` random unit directions (entry ``"lam"``), and
+    the declared x2-only ``a22`` (entry ``"a22"``)."""
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(size=(xi_samples, 2))
+    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    a11, a12, a21, a22 = values
+    for u, v in xi:
+        quad = a11 * u * u + (a12 + a21) * u * v + a22 * v * v
+        if np.min(quad) < lam - tol:
+            yield "lam", (f"ellipticity check failed: min A xi.xi = "
+                          f"{np.min(quad):.6g} < lam = {lam} for xi = "
+                          f"({u:.3f}, {v:.3f})")
+            break
+    if a22_depends_only_on_x2:
+        spread = np.max(np.abs(a22 - a22[:1, :]))
+        if spread > 1e-12 * max(1.0, np.max(np.abs(a22))):
+            yield "a22", f"a22 declared x2-only but varies with x1 (spread {spread:.3g})"
 
 
 @dataclass
@@ -398,7 +436,8 @@ LEDGER_FORMULAS = {f.name: f.metadata["formula"]
 
 
 def _sup_abs(values) -> float:
-    return float(np.max(np.abs(values)))
+    # max |v| without a temporary; abs only turns a -0.0 into 0.0
+    return float(abs(max(values.max(), -values.min())))
 
 
 def _axis_values(field: ScalarField, x1, x2) -> np.ndarray:
@@ -427,11 +466,25 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     x1, x2 = _sample_axes(domain, grid)
     vals = [_axis_values(a, x1, x2) for a in A.entries()]
     sup_a11, sup_a12, sup_a21, sup_a22 = map(_sup_abs, vals)
-    # pointwise spectral norm of a 2x2 matrix via its singular values
-    sq = vals[0] ** 2 + vals[1] ** 2 + vals[2] ** 2 + vals[3] ** 2
-    det = vals[0] * vals[3] - vals[1] * vals[2]
-    disc = np.sqrt(np.maximum(sq ** 2 - 4.0 * det ** 2, 0.0))
-    sup_matrix = float(np.max(np.sqrt(np.maximum((sq + disc) / 2.0, 0.0))))
+    # pointwise spectral norm of a 2x2 matrix via its singular values:
+    # sqrt(max((sq + sqrt(max(sq^2 - 4 det^2, 0))) / 2, 0)), in three buffers
+    # of the broadcast shape; the outer sqrt is monotone, so it is taken
+    # once, of the largest value
+    shape = np.broadcast_shapes(*(v.shape for v in vals))
+    sq, det, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.square(vals[0], out=sq)
+    for v in vals[1:]:
+        sq += np.square(v, out=tmp)
+    np.multiply(vals[0], vals[3], out=det)
+    det -= np.multiply(vals[1], vals[2], out=tmp)
+    np.square(det, out=det)
+    det *= 4.0
+    np.square(sq, out=tmp)
+    tmp -= det
+    np.sqrt(np.maximum(tmp, 0.0, out=tmp), out=tmp)
+    tmp += sq
+    tmp /= 2.0
+    sup_matrix = float(np.sqrt(np.maximum(tmp, 0.0, out=tmp).max()))
 
     def partial_sup(which: str) -> float:
         declared = getattr(A.a12, which)

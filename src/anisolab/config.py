@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import (VALIDATE_GRID, CoefficientField, ReactionSpec, SourceField,
-                           _interval_rule, _sample_axes, as_field, grid_values)
+                           _interval_rule, _sample_axes, as_field, grid_values,
+                           structure_faults)
 from .expressions import ExpressionError, parse_expression
 from .semigroup import evolution_faults
 from .spaces import (_FAMILIES, SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain,
@@ -314,6 +315,7 @@ def _validate(cfg: ExperimentConfig, where: dict):
     sides = domain.omega1, domain.omega2
     sample = _sample_axes(domain, VALIDATE_GRID)
     gauss = [_interval_rule(side)[0] for side in sides]
+    sampled = {}  # coefficient -> its values on the sample grid
     for what, section, attrs, axes in (
             ("coefficient", "problem", ("a11", "a12", "a21", "a22"), sample),
             ("coefficient derivative", "problem",
@@ -332,6 +334,13 @@ def _validate(cfg: ExperimentConfig, where: dict):
                 if not np.all(np.isfinite(values)):
                     raise error(f"{what} {attr} is not finite on the domain",
                                 section, attr)
+                if what == "coefficient":
+                    sampled[attr] = values
+    # ellipticity and the x2-only a22, on the samples of the finite check
+    for attr, message in structure_faults(
+            [sampled[a] for a in ("a11", "a12", "a21", "a22")],
+            cfg.problem.lam, cfg.problem.a22_x2_only):
+        raise error(message, "problem", attr)
 
 
 def _emit_value(kind, value) -> str:
@@ -376,7 +385,8 @@ def _field_from_key(expr_text: Optional[str], dx1=None, dx2=None, label=""):
 
 
 def build_problem_objects(cfg: ExperimentConfig):
-    """Domain, coefficients, source, and reaction from a configuration."""
+    """Domain, coefficients, source, and reaction from a configuration;
+    ``parse_config`` has checked the coefficients on their samples."""
     p = cfg.problem
     domain = TensorDomain(p.domain[:2], p.domain[2:])
     A = CoefficientField(
@@ -389,7 +399,6 @@ def build_problem_objects(cfg: ExperimentConfig):
         offdiag_derivs_bounded=p.offdiag_derivs_bounded,
         offdiag_mixed_deriv_in_l2=p.offdiag_mixed_deriv_in_l2,
     )
-    A.validate(domain)
     source = SourceField(
         f=_field_from_key(p.f, label="f"),
         dx1=_field_from_key(p.f_dx1, label="f_dx1"),

@@ -3,7 +3,9 @@
 Supported syntax: floating point literals, the constant ``pi``, the variables
 ``x1`` and ``x2`` (plus ``t`` for time dependent sources), binary ``+ - * /``,
 unary minus, the functions ``sin``, ``cos``, ``exp``, and parentheses.
-Expressions evaluate elementwise over numpy arrays.
+Expressions evaluate elementwise over numpy arrays.  An expression that is a
+sum of products of an ``x1`` factor and an ``x2`` factor splits exactly into
+those products (:meth:`Expression.separable`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ __all__ = ["Expression", "ExpressionError", "parse_expression"]
 
 _FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _VARIABLES = ("x1", "x2", "t")
+# Most products a product of sums may distribute into before
+# ``Expression.separable`` refuses the split.
+MAX_PRODUCTS = 16
 
 
 class ExpressionError(ValueError):
@@ -177,6 +182,81 @@ def _eval(node, env):
     raise AssertionError(f"bad node {node!r}")
 
 
+def _names(node) -> frozenset:
+    """The variables a node uses."""
+    kind = node[0]
+    if kind == "num":
+        return frozenset()
+    if kind == "var":
+        return frozenset((node[1],))
+    if kind == "bin":
+        return _names(node[2]) | _names(node[3])
+    return _names(node[-1])  # neg, call
+
+
+def _text(node) -> str:
+    """Source text of a node, every operation in parentheses."""
+    kind = node[0]
+    if kind == "num":
+        return repr(node[1])
+    if kind == "var":
+        return node[1]
+    if kind == "neg":
+        return f"-({_text(node[1])})"
+    if kind == "bin":
+        return f"({_text(node[2])} {node[1]} {_text(node[3])})"
+    return f"{node[1]}({_text(node[2])})"
+
+
+def _times(a, b):
+    """The product node of two factors of one variable; None stands for 1."""
+    if a is None or b is None:
+        return b if a is None else a
+    return ("bin", "*", a, b)
+
+
+def _split(node):
+    """``[(scale, g, h)]`` with ``node == sum scale * g * h``, ``g`` a node of
+    x1 alone and ``h`` of x2 alone (None for 1); None when a part depends on
+    both variables or on ``t``, or the products would pass MAX_PRODUCTS.
+
+    A subtree of one variable is one factor as written, so it evaluates with
+    the same arithmetic as in the whole expression."""
+    names = _names(node)
+    if "t" in names:
+        return None
+    if not names:
+        return [(float(_eval(node, {})), None, None)]
+    if names == {"x1"}:
+        return [(1.0, node, None)]
+    if names == {"x2"}:
+        return [(1.0, None, node)]
+    kind = node[0]
+    if kind == "neg":
+        inner = _split(node[1])
+        return None if inner is None else [(-s, g, h) for s, g, h in inner]
+    if kind != "bin":
+        return None  # a function of both variables
+    op, a, b = node[1:]
+    if op == "/":
+        if _names(b):
+            return None
+        inner, c = _split(a), float(_eval(b, {}))
+        return None if inner is None else [(np.true_divide(s, c), g, h)
+                                           for s, g, h in inner]
+    left, right = _split(a), _split(b)
+    if left is None or right is None:
+        return None
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left + [(-s, g, h) for s, g, h in right]
+    if len(left) * len(right) > MAX_PRODUCTS:
+        return None
+    return [(s * r, _times(g, k), _times(h, m))
+            for s, g, h in left for r, k, m in right]
+
+
 class Expression:
     """A parsed expression; callable with keyword arrays ``x1``, ``x2``, ``t``."""
 
@@ -192,6 +272,23 @@ class Expression:
     def __call__(self, x1=None, x2=None, t=None):
         env = {"x1": x1, "x2": x2, "t": t}
         return _eval(self._node, env)
+
+    def separable(self):
+        """The expression as products ``(scale, g, h)``: ``scale`` a float,
+        ``g`` an expression of ``x1`` alone and ``h`` of ``x2`` alone (None
+        standing for 1), whose sum is the expression.  The split is exact: it
+        works at the top-level ``+``, ``-``, unary minus and ``*``, and at a
+        division by a constant, and distributes a product of sums.  None when
+        a part depends on both variables (``sin(x1*x2)``) or on ``t``."""
+        with np.errstate(all="ignore"):  # a non-finite scale is kept as is
+            products = _split(self._node)
+        if products is None:
+            return None
+
+        def part(node):
+            return None if node is None else Expression(_text(node), node,
+                                                        _names(node))
+        return [(float(s), part(g), part(h)) for s, g, h in products]
 
     def __repr__(self):
         return f"Expression({self.source!r})"

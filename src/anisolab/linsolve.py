@@ -69,12 +69,18 @@ class IndefiniteOperatorError(RuntimeError):
                          "retry with SolverConfig(method='dense')")
 
 
+def _max_abs(K) -> float:
+    return abs(K).max() if sp.issparse(K) else np.max(np.abs(K))
+
+
 def _is_symmetric(K, tol=1e-12):
-    """``max|K - K^T| <= tol * max|K|`` for a sparse or dense matrix."""
-    d = K - K.T
-    scale = max(abs(K).max() if sp.issparse(K) else np.max(np.abs(K)), 1e-300)
-    gap = abs(d).max() if sp.issparse(d) else np.max(np.abs(d))
-    return gap <= tol * scale
+    """``max|K - K^T| <= tol * max|K|`` for a sparse or dense matrix, or for
+    an operator that yields its rows in blocks with the same rows of its
+    transpose (``row_blocks``), so that no whole matrix is formed."""
+    blocks = K.row_blocks() if hasattr(K, "row_blocks") else ((K, K.T),)
+    scales, gaps = zip(*((_max_abs(rows), _max_abs(rows - rows_t))
+                         for rows, rows_t in blocks))
+    return np.max(gaps) <= tol * max(np.max(scales), 1e-300)
 
 
 def _cg(K, b, x0, rel_tol, max_iter, precond, callback):

@@ -3,7 +3,8 @@ the ``summary.json`` serializer.
 
 Cells are written as bools in lower case, ints and strings as they are, and
 floats in full-precision scientific notation (``%.17e``), so repeated runs
-of the same config produce byte-identical files.
+of the same config produce byte-identical files.  A row whose cells all have
+a %-format is written by one template, the same text as cell by cell.
 """
 
 from __future__ import annotations
@@ -35,12 +36,31 @@ def _cell(value) -> str:
     return str(value)
 
 
+# cell type -> the %-format that writes it as ``_cell`` does; bools and
+# other types are written by ``_cell``
+_FORMATS = {float: "%.17e", np.float64: "%.17e", int: "%d", np.int64: "%d",
+            str: "%s"}
+
+
+def _template(types):
+    """The %-format of a row of cells of these types, None if one has none."""
+    formats = [_FORMATS.get(t) for t in types]
+    return None if None in formats else ",".join(formats) + "\n"
+
+
 def write_csv(path, report: str, rows):
-    """Write the ``CSV_COLUMNS[report]`` header, then one line per row."""
+    """Write the ``CSV_COLUMNS[report]`` header, then one line per row: by
+    one %-format template for the cell types of the rows, so one per report
+    whose rows all have the same types."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS[report]) + "\n")
+        types = template = None
         for row in rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            if kinds != types:
+                types, template = kinds, _template(kinds)
+            fh.write(template % row if template else ",".join(map(_cell, row)) + "\n")
 
 
 def _jsonable(obj):

@@ -120,7 +120,8 @@ STEPPERS = tuple(_CONTRACTION_SLACK)
 
 
 def evolution_faults(cfg):
-    """``(setting, message)`` for each march setting of ``cfg`` at fault."""
+    """``(setting, message)`` for each march setting of ``cfg`` at fault; a
+    time-dependent ``source`` is a fault of the stepper unless it is ``be``."""
     if cfg.T < 0:
         yield "T", "final time must be nonnegative"
     if cfg.T > 0 and cfg.steps < 1:
@@ -129,6 +130,9 @@ def evolution_faults(cfg):
         yield "stepper", f"unknown stepper {cfg.stepper!r}"
     if cfg.stepper == "yosida" and (cfg.yosida_mu is None or cfg.yosida_mu <= 0):
         yield "yosida_mu", "the bounded-operator stepper needs yosida_mu > 0"
+    if cfg.source is not None and cfg.stepper != "be":
+        yield "stepper", ("time-dependent sources are supported by the "
+                          "backward Euler stepper only")
 
 
 @dataclass
@@ -143,9 +147,6 @@ class EvolutionConfig:
     def __post_init__(self):
         for _, message in evolution_faults(self):
             raise ValueError(message)
-        if self.source is not None and self.stepper != "be":
-            raise ValueError("time-dependent sources are supported by the "
-                             "backward Euler stepper only")
 
 
 @dataclass

@@ -730,9 +730,10 @@ class TestInputsRejectedBeforeOutput:
         assert not out.exists()
 
     @pytest.mark.parametrize("edits,message", [
-        ({"lambda = 1": "lambda = 2"}, "error: ellipticity check failed: "),
+        ({"lambda = 1": "lambda = 2"},
+         "error: line 8, column 1: ellipticity check failed: "),
         ({'a22 = "1"': 'a22 = "1 + 0.5*sin(x1)"'},
-         "error: a22 declared x2-only but varies with x1"),
+         "error: line 7, column 1: a22 declared x2-only but varies with x1"),
     ])
     def test_unbuildable_problem_leaves_no_output_directory(self, tmp_path,
                                                             capsys, edits,
