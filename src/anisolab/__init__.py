@@ -26,8 +26,7 @@ from .diagnostics import (error_norms, rate_study, cea_check, ap_diagram,
                           difference_quotient_bound,
                           linear_reaction_rate_study, RateStudy,
                           APDiagramReport, fit_slope)
-from .semigroup import (DiscreteGenerator, build_generator,
-                        build_generator_1d, EvolutionConfig, evolve,
+from .semigroup import (DiscreteGenerator, build_generator, EvolutionConfig, evolve,
                         resolvent_apply, resolvent_deviation,
                         semigroup_deviation_study,
                         tensor_semigroup_oracle_check, parabolic_convergence)

@@ -21,6 +21,8 @@ coefficient:
 
 Loads follow the same split: a separable source is a sum of outer products
 of 1D loads, any other source is contracted on the quadrature grid.
+:func:`project` applies the mass inverse ``Q1 Q1^T (x) Q2 Q2^T`` of the 1D
+eigenbases (:func:`pencil_eigenbasis`) to a load.
 
 The public ``bilinear_form`` family and ``AssembledProblem.stiffness``
 return the CSR materialisation of these operators; the Galerkin solves
@@ -62,9 +64,7 @@ __all__ = [
     "energy_norm",
     "mass_1d",
     "stiffness_1d",
-    "load_1d",
     "project",
-    "project_1d",
     "pencil_eigenbasis",
     "KronOperator",
     "AssembledProblem",
@@ -412,22 +412,24 @@ def stiffness_1d(family: BasisFamily1D, coef=None, order: int = 4):
     return sp.csr_matrix(D.T @ (w[:, None] * D))
 
 
-def load_1d(family: BasisFamily1D, fn, order: int = 4):
-    pts, wts = family.quad_points(order)
-    V, _ = family.eval_table(pts)
-    return V.T @ (wts * np.asarray(fn(pts), dtype=float))
+def _mass_inverse_1d(space: GalerkinSpace, direction: int) -> np.ndarray:
+    """``Q Q^T``, the inverse of the 1D mass matrix of one direction, from
+    its eigenbasis ``Q`` (``Q^T M Q = I``)."""
+    Q, _ = pencil_eigenbasis(space, direction)
+    return Q @ Q.T
 
 
-def project_1d(family: BasisFamily1D, fn, order: int = 4):
-    """L2 projection of a function onto a 1D family."""
-    M = mass_1d(family, order)
-    return sp.linalg.spsolve(M.tocsc(), load_1d(family, fn, order))
+def _project_1d(space: GalerkinSpace, direction: int, fn):
+    """L2 projection of a function of one variable onto one direction."""
+    pts, w, V, _ = space.rule(direction)
+    load = V.T @ (w * np.asarray(fn(pts), dtype=float))
+    return _mass_inverse_1d(space, direction) @ load
 
 
 def project(space: GalerkinSpace, fn):
-    """L2 projection of a function onto the tensor space."""
-    M = norm_matrices(space)[0].tocsr()
-    return sp.linalg.spsolve(M.tocsc(), assemble_load(space, fn))
+    """L2 projection of a function onto the tensor space: ``M^{-1}`` of its load."""
+    F = assemble_load(space, fn).reshape(space.basis1.dim, space.basis2.dim)
+    return (_mass_inverse_1d(space, 1) @ F @ _mass_inverse_1d(space, 2).T).ravel()
 
 
 def pencil_eigenbasis(space: GalerkinSpace, direction: int):

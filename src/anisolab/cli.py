@@ -188,9 +188,7 @@ def _run_semigroup(cfg, problem, outdir, summary):
 
 def _run_parabolic(cfg, problem, outdir, summary):
     space = make_space(cfg, problem.domain)
-    u0_expr = cfg.study.u0 or cfg.problem.f
-    u0_fn = parse_expression(u0_expr)
-    u0 = project(space, lambda x1, x2: u0_fn(x1=x1, x2=x2))
+    u0 = project(space, parse_expression(cfg.study.u0 or cfg.problem.f))
     coeff = cfg.study.u0_eps_coeff
 
     def u0_of_eps(eps):

@@ -242,6 +242,8 @@ def parse_config(text: str, overrides=None) -> ExperimentConfig:
         col = line.index("=") + 2
         setattr(getattr(cfg, section), attr, _parse_value(kind, value, lineno, col))
         where[(section, attr)] = (lineno, indent)
+    if not where:
+        raise ConfigError("config sets no keys", 1, 1)
     for (section, attr), value in (overrides or {}).items():
         setattr(getattr(cfg, section), attr, value)
     _validate(cfg, where)

@@ -2,6 +2,9 @@
 approximation of the flow, contraction time stepping, and the deviation
 studies between the perturbed and limit evolutions.
 
+The resolvent deviation study solves each resolvent as the linear Galerkin
+problem with reaction ``mu`` (:func:`anisolab.elliptic.solve_linear`).
+
 The flow itself is never exponentiated: each march builds the linear map of
 one backward Euler, Crank-Nicolson or bounded-operator RK4 step (for
 ``u' = mu^2 R_mu u - mu u``) once and applies it once per step, as a dense
@@ -22,18 +25,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (AssembledProblem, assemble_system, energy_norm,
-                       mass_1d, project_1d, stiffness_1d)
-from .coefficients import (CoefficientField, HypothesisNotSatisfied, SourceField,
-                           missing_hypotheses)
+from .assembly import (AssembledProblem, _matrix_1d, _plain_factor, _project_1d,
+                       assemble_system, energy_norm)
+from .coefficients import (CoefficientField, HypothesisNotSatisfied, ReactionSpec,
+                           SourceField, missing_hypotheses)
 from .diagnostics import RATE_SLOPE_MIN, fit_slope
-from .elliptic import LIMIT, within_bound
-from .spaces import BasisFamily1D, GalerkinSpace
+from .elliptic import LIMIT, ProblemSpec, solve_linear, within_bound
+from .spaces import GalerkinSpace
 
 __all__ = [
     "DiscreteGenerator",
     "build_generator",
-    "build_generator_1d",
     "EvolutionConfig",
     "Trajectory",
     "evolve",
@@ -72,8 +74,6 @@ class DiscreteGenerator:
     M: sp.csr_matrix
     K: sp.csr_matrix
     kind: str  # "perturbed" | "limit"
-    epsilon: Optional[float] = None
-    space: Optional[GalerkinSpace] = None
 
     @property
     def dim(self) -> int:
@@ -100,19 +100,8 @@ def build_generator(space: GalerkinSpace, A: CoefficientField, epsilon,
     """Generator of the perturbed flow (finite epsilon) or the limit flow (LIMIT)."""
     if system is None:
         system = assemble_system(space, A)
-    if epsilon is not LIMIT:
-        epsilon = float(epsilon)
     return DiscreteGenerator(system.M.tocsr(), system.operator(epsilon).tocsr(),
-                             "limit" if epsilon is LIMIT else "perturbed",
-                             epsilon, space)
-
-
-def build_generator_1d(family: BasisFamily1D, a22_of_x2: Callable,
-                       order: int = 4) -> DiscreteGenerator:
-    """1D limit generator on the second direction alone."""
-    return DiscreteGenerator(mass_1d(family, order),
-                             stiffness_1d(family, a22_of_x2, order),
-                             "limit", None, None)
+                             "limit" if epsilon is LIMIT else "perturbed")
 
 
 _CONTRACTION_SLACK = {"be": 1e-12, "cn": 1e-10, "yosida": 1e-10}
@@ -312,19 +301,23 @@ class ResolventDeviationStudy:
 def resolvent_deviation(space: GalerkinSpace, A: CoefficientField,
                         epsilons: Sequence[float], mu: float,
                         f: SourceField) -> ResolventDeviationStudy:
-    """Distance between the perturbed and limit resolvents applied to f."""
+    """M-norm distance between the perturbed and limit resolvents applied to
+    f, each a :func:`solve_linear` with the linear reaction ``mu``."""
+    if mu <= 0:
+        raise ValueError("resolvent parameter must be positive")
     missing = missing_hypotheses("resolvent", A, f)
     if missing:
         return ResolventDeviationStudy(list(epsilons), [], float("nan"),
                                        refusal="missing hypotheses: "
                                        + ", ".join(missing))
     system = assemble_system(space, A, f)
+    problem = ProblemSpec(space.domain, A, f, ReactionSpec.linear(mu))
 
     def resolve(eps):
-        return spla.spsolve(system.operator(eps, mu).tocsr().tocsc(), system.F)
+        return solve_linear(problem.with_epsilon(eps), space, system=system).coeffs
 
     u0 = resolve(LIMIT)
-    deviations = [energy_norm(system.M.tocsr(), resolve(eps) - u0) for eps in epsilons]
+    deviations = [energy_norm(system.M, resolve(eps) - u0) for eps in epsilons]
     return ResolventDeviationStudy(list(epsilons), deviations,
                                    fit_slope(epsilons, deviations))
 
@@ -441,14 +434,14 @@ def tensor_semigroup_oracle_check(space: GalerkinSpace, A: CoefficientField,
     missing = missing_hypotheses("tensor-oracle", A)
     if missing:
         raise HypothesisNotSatisfied(missing)
-    order = space.quadrature.order
-    c1 = g1 if isinstance(g1, np.ndarray) else project_1d(space.basis1, g1, order)
-    c2 = g2 if isinstance(g2, np.ndarray) else project_1d(space.basis2, g2, order)
+    c1 = g1 if isinstance(g1, np.ndarray) else _project_1d(space, 1, g1)
+    c2 = g2 if isinstance(g2, np.ndarray) else _project_1d(space, 2, g2)
 
     gen2d = build_generator(space, A, LIMIT)
     mid1 = 0.5 * (space.domain.omega1[0] + space.domain.omega1[1])
-    gen1d = build_generator_1d(
-        space.basis2, lambda x2: A.a22(np.full_like(x2, mid1), x2), order)
+    a22 = A.a22(mid1, space.grid_axes[1])
+    gen1d = DiscreteGenerator(sp.csr_matrix(_plain_factor(space, 2, 0, 0)),
+                              sp.csr_matrix(_matrix_1d(space, 2, 2, 2, a22)), "limit")
 
     cfg2 = EvolutionConfig(T=s, stepper="yosida", steps=steps, yosida_mu=mu)
     u2d = evolve(gen2d, np.outer(c1, c2).ravel(), cfg2).states[-1]

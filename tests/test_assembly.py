@@ -6,6 +6,7 @@ import scipy.integrate
 import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from anisolab.assembly import (assemble_block_stiffness, assemble_limit_stiffness,
                                assemble_load, assemble_mass,
@@ -13,6 +14,7 @@ from anisolab.assembly import (assemble_block_stiffness, assemble_limit_stiffnes
                                mass_1d, project, seminorm_matrices,
                                stiffness_1d, write_matrix_market)
 from anisolab.coefficients import CoefficientField, ScalarField, as_field
+from anisolab.expressions import parse_expression
 from anisolab.spaces import build_space
 
 PI = math.pi
@@ -119,6 +121,29 @@ class TestLoadAndNorms:
         expected = np.zeros(64)
         expected[sine8.flat_index(1, 2)] = 1.0
         assert np.max(np.abs(c - expected)) < 1e-12
+
+
+class TestProjection:
+    # project applies the mass inverse from the 1D eigenbases: no CSR is
+    # built and no sparse system solved
+    @pytest.mark.parametrize("kinds", [("sine", "sine"), ("q1", "q1"),
+                                       ("sine", "q1")])
+    @pytest.mark.parametrize("fn", [
+        lambda x1, x2: x1 * (PI - x1) * np.exp(x2),
+        parse_expression("sin(x1) * x2 * (pi - x2) + cos(x1)"),
+    ])
+    def test_equals_the_mass_solve(self, monkeypatch, dom, kinds, fn):
+        from anisolab.assembly import KronOperator
+        space = build_space(dom, kinds[0], 8, kinds[1], 8)
+        want = scipy.sparse.linalg.spsolve(assemble_mass(space).tocsc(),
+                                           assemble_load(space, fn))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("project built a CSR matrix or solved one")
+        monkeypatch.setattr(KronOperator, "tocsr", refuse)
+        monkeypatch.setattr(scipy.sparse.linalg, "spsolve", refuse)
+        got = project(space, fn)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestStructure:

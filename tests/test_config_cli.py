@@ -707,6 +707,17 @@ class TestCommandLineOverrides:
 
 
 class TestInputsRejectedBeforeOutput:
+    @pytest.mark.parametrize("text", ["", "# nothing set\n\n[study]\n"])
+    def test_config_that_sets_no_key(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "empty.cfg"
+        cfg_path.write_text(text)
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 1, column 1: config sets no keys\n")
+        assert not out.exists()
+
     def test_degenerate_domain_at_the_key(self, tmp_path, capsys):
         cfg_path = _edited(tmp_path, "solve_identity.cfg",
                            {"domain = 0, pi, 0, pi": "domain = 0, 0, 0, pi"})

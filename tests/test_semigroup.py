@@ -169,6 +169,49 @@ class TestResolventDeviation:
         assert "offdiag_mixed_deriv_in_l2" in study.refusal
 
 
+class TestResolventThroughGalerkinSolve:
+    # the deviation study solves each resolvent with solve_linear, so it
+    # builds no CSR operator; the reference solves the materialised one
+    @pytest.mark.parametrize("space_name", ["sine8", "q1_8"])
+    @pytest.mark.parametrize("coef_name,rel", [("A_identity", 1e-13),
+                                               ("A_offdiag_const", 1e-9)])
+    def test_matches_the_sparse_direct_solve(self, request, monkeypatch,
+                                             f_mode11, space_name, coef_name,
+                                             rel):
+        import scipy.sparse.linalg as spla
+        from anisolab.assembly import KronOperator, assemble_system
+        from anisolab.elliptic import LIMIT
+        space = request.getfixturevalue(space_name)
+        A = request.getfixturevalue(coef_name)
+        eps, mu = [1.0, 0.5, 0.25, 0.125], 1.0
+        system = assemble_system(space, A, f_mode11)
+        M = system.M.tocsr()
+
+        def resolve(e):
+            return spla.spsolve(system.operator(e, mu).tocsr().tocsc(), system.F)
+        u0 = resolve(LIMIT)
+        gaps = [resolve(e) - u0 for e in eps]
+        want = [float(np.sqrt(d @ (M @ d))) for d in gaps]
+
+        def refuse(self):
+            raise AssertionError("the resolvent study built a CSR operator")
+        monkeypatch.setattr(KronOperator, "tocsr", refuse)
+        study = resolvent_deviation(space, A, eps, mu, f_mode11)
+        assert np.allclose(study.deviations, want, rtol=rel, atol=0.0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_mu_rejected_before_assembly(self, monkeypatch, sine8,
+                                                     A_identity, f_mode11, mu):
+        import anisolab.semigroup as semigroup
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled before checking mu")
+        monkeypatch.setattr(semigroup, "assemble_system", refuse)
+        with pytest.raises(ValueError,
+                           match="^resolvent parameter must be positive$"):
+            resolvent_deviation(sine8, A_identity, [0.5], mu, f_mode11)
+
+
 class TestDeviationStudy:
     def test_identity_matches_closed_form(self, sine8, A_identity):
         g = first_mode(sine8)
@@ -221,6 +264,16 @@ class TestTensorOracle:
             lambda x: np.sin(x) + 0.5 * np.sin(3 * x),
             lambda x: np.sin(2 * x), s=0.6, mu=1.5)
         assert rep.passed
+
+    def test_variable_second_coefficient_on_q1(self, q1_8):
+        from anisolab.expressions import parse_expression
+        A = CoefficientField(1.0, 0.0, 0.0, parse_expression("1 + x2*x2/10"),
+                             lam=1.0)
+        rep = tensor_semigroup_oracle_check(
+            q1_8, A, lambda x: np.sin(x), lambda x: x * (PI - x),
+            s=0.8, mu=1.5)
+        assert rep.passed
+        assert 0.0 < rep.factor_1d < 1.0
 
     def test_requires_x2_only_second_block(self, sine8):
         from anisolab.coefficients import HypothesisNotSatisfied, as_field
