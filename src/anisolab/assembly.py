@@ -24,6 +24,11 @@ of 1D loads, any other source is contracted on the quadrature grid.
 :func:`project` applies the mass inverse ``Q1 Q1^T (x) Q2 Q2^T`` of the 1D
 eigenbases (:func:`pencil_eigenbasis`) to a load.
 
+The data of the space alone (coefficient-free 1D factors, norm matrices,
+1D eigenbases and mass inverses) is cached per space by ``_per_space``, in
+a weak dictionary keyed by the space: built once, shared by every system
+and projection on the space, and freed with it.
+
 The public ``bilinear_form`` family and ``AssembledProblem.stiffness``
 return the CSR materialisation of these operators; the Galerkin solves
 apply them factored.
@@ -39,8 +44,9 @@ its axis.  Every discrete norm ``sqrt(v^T G v)`` is :func:`energy_norm`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
@@ -192,6 +198,21 @@ def _dense(B):
     return B.toarray() if sp.issparse(B) else B
 
 
+def _per_space(fn):
+    """Memoise ``fn(space, *args)`` on its space: built once per space,
+    shared by every caller (so read-only) and freed with the space.  A value
+    must not refer to its space, or the space never dies."""
+    memo = weakref.WeakKeyDictionary()  # space -> {args: value}
+
+    @wraps(fn)
+    def memoised(space: GalerkinSpace, *args):
+        values = memo.setdefault(space, {})
+        if args not in values:
+            values[args] = fn(space, *args)
+        return values[args]
+    return memoised
+
+
 def _pick(selector: int, direction: int, V, D):
     """Pick value or derivative table for one cartesian direction."""
     return D if selector == direction else V
@@ -213,7 +234,7 @@ def _as_factor(space: GalerkinSpace, direction: int, B):
     return sp.csr_matrix(B) if isinstance(family, Q1Basis) else B
 
 
-@lru_cache(maxsize=256)
+@_per_space
 def _plain_factor(space: GalerkinSpace, direction: int, test_sel: int,
                   trial_sel: int):
     """The coefficient-free 1D factor, built once per space and shared by
@@ -359,7 +380,7 @@ def seminorm_matrices(space: GalerkinSpace):
     return tuple(G.tocsr() for G in norm_matrices(space)[1:])
 
 
-@lru_cache(maxsize=64)
+@_per_space
 def norm_matrices(space: GalerkinSpace):
     """Cached factored ``(M, G1, G2)`` of a space; coefficient independent."""
     one = as_field(1.0)
@@ -412,9 +433,10 @@ def stiffness_1d(family: BasisFamily1D, coef=None, order: int = 4):
     return sp.csr_matrix(D.T @ (w[:, None] * D))
 
 
+@_per_space
 def _mass_inverse_1d(space: GalerkinSpace, direction: int) -> np.ndarray:
     """``Q Q^T``, the inverse of the 1D mass matrix of one direction, from
-    its eigenbasis ``Q`` (``Q^T M Q = I``)."""
+    its eigenbasis ``Q`` (``Q^T M Q = I``); built once per space."""
     Q, _ = pencil_eigenbasis(space, direction)
     return Q @ Q.T
 
@@ -432,10 +454,11 @@ def project(space: GalerkinSpace, fn):
     return (_mass_inverse_1d(space, 1) @ F @ _mass_inverse_1d(space, 2).T).ravel()
 
 
+@_per_space
 def pencil_eigenbasis(space: GalerkinSpace, direction: int):
     """``(Q, lam)`` with ``Q^T M Q = I`` and ``Q^T S Q = diag(lam)`` for the 1D
     mass ``M`` and stiffness ``S`` of one direction, from the family's
-    closed-form eigenvectors."""
+    closed-form eigenvectors; built once per space."""
     family = space.basis1 if direction == 1 else space.basis2
     V = family.pencil_vectors()
     M, S = (B.toarray() if sp.issparse(B) else B
@@ -531,7 +554,7 @@ class AssembledProblem:
 
     @cached_property
     def eigenbasis(self):
-        """``(Q1, lam1, Q2, lam2)``: both 1D eigenbases, built once per system."""
+        """``(Q1, lam1, Q2, lam2)``: both 1D eigenbases of the space."""
         return pencil_eigenbasis(self.space, 1) + pencil_eigenbasis(self.space, 2)
 
     def tensor_preconditioner(self, epsilon: Optional[float] = None,

@@ -12,15 +12,13 @@ Exit codes: 0 when every requested verdict passes, 1 when a verdict fails,
 error or an output path that cannot be created or written, 3 on a
 numerical failure (recorded under ``failures`` in ``summary.json``).
 Repeated runs of the same config produce byte-identical outputs;
-wall-clock timings are therefore never written into report files (pass
-``--timings`` to get them on stderr).
+wall-clock timings are therefore never written into report files.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import asdict, astuple
 from pathlib import Path
 
@@ -285,8 +283,6 @@ def _build_parser():
                        help="basis kind override for both directions")
         p.add_argument("--export", default=None,
                        help="lattice export file name (solve only)")
-        p.add_argument("--timings", action="store_true",
-                       help="print wall time to stderr")
     return parser
 
 
@@ -313,14 +309,11 @@ def main(argv=None) -> int:
     if args.kind:
         cfg.study.kind = args.kind
     outdir = args.out or cfg.output.directory
-    start = time.perf_counter()
     try:
         summary, code = run_config(cfg, outdir)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.timings:
-        print(f"elapsed: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     for item in summary["refusals"]:
         print(f"refused: {item}", file=sys.stderr)
     for item in summary.get("failures", []):

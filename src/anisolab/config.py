@@ -7,9 +7,10 @@ key table ``_SCHEMA`` is read from the fields.  The parsed configuration
 round-trips: ``parse_config(emit_config(cfg))`` reproduces ``cfg`` exactly.
 ``_validate``, the one semantic check, reads each fact from its owner
 (basis families, ``TensorDomain``, the reactions, the march settings of
-``semigroup``) and reports a fault at its key, also in a value the
-command line puts in its place.  Builders turn a configuration into the
-domain, coefficient, source, reaction, and space objects of the library.
+``semigroup``, the Picard damping of ``elliptic``) and reports a fault at
+its key, also in a value the command line puts in its place.  Builders
+turn a configuration into the domain, coefficient, source, reaction, and
+space objects of the library.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 from .coefficients import (VALIDATE_GRID, CoefficientField, ReactionSpec, SourceField,
                            _interval_rule, _sample_axes, as_field, grid_values,
                            structure_faults)
+from .elliptic import damping_fault
 from .expressions import ExpressionError, parse_expression
 from .semigroup import evolution_faults
 from .spaces import (_FAMILIES, SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain,
@@ -270,6 +272,9 @@ def _validate(cfg: ExperimentConfig, where: dict):
         raise error(message, "study", attr)
     if st.mu <= 0:
         raise error("resolvent parameter must be positive", "study", "mu")
+    fault = damping_fault(st.damping)
+    if fault:
+        raise error(fault, "study", "damping")
     if cfg.problem.beta not in _REACTIONS:
         raise error(f"unknown reaction {cfg.problem.beta!r}", "problem", "beta")
     try:

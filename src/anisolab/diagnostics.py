@@ -80,12 +80,12 @@ def fit_slope(epsilons, errors, floor: float = SLOPE_FLOOR) -> float:
     """Least-squares slope of log(error) against log(epsilon).
 
     Entries below the noise floor are excluded; returns nan with fewer than
-    two usable points.
+    two distinct epsilons among the usable points, where no line is fixed.
     """
     eps = np.asarray(epsilons, dtype=float)
     err = np.asarray(errors, dtype=float)
     keep = err > floor
-    if keep.sum() < 2:
+    if len(set(eps[keep])) < 2:
         return float("nan")
     return float(np.polyfit(np.log(eps[keep]), np.log(err[keep]), 1)[0])
 

@@ -151,6 +151,11 @@ def reaction_load(space: GalerkinSpace, reaction: ReactionSpec, coeffs):
     return space.load(reaction.beta(space.on_grid(coeffs)))
 
 
+def damping_fault(damping: float) -> Optional[str]:
+    """The fault of a Picard damping factor outside (0, 1], else None."""
+    return None if 0.0 < damping <= 1.0 else "damping must lie in (0, 1]"
+
+
 def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
                      damping: float = 1.0, tol: float = 1e-9,
                      max_picard: int = 200,
@@ -161,8 +166,9 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
     The load and step of the accepted iterate are kept, so an iteration
     evaluates the reaction once and a halving does not solve again.
     """
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must lie in (0, 1]")
+    fault = damping_fault(damping)
+    if fault:
+        raise ValueError(fault)
     if problem.reaction.kind != "custom":
         raise ValueError("solve_semilinear expects a custom reaction")
     system, F = _system_and_load(problem, space, system)
@@ -234,7 +240,7 @@ def apriori_check(sol: GalerkinSolution, ledger: ConstantLedger,
         system = assemble_system(sol.space, problem.coefficients, problem.source)
     u = sol.coeffs
     lam = ledger.lam
-    norm_f = problem.source.norm_l2(problem.domain)
+    norm_f = ledger.norm_f
     grad = energy_norm(KronOperator.combine([(1.0, system.G1), (1.0, system.G2)]), u)
     grad2 = energy_norm(system.G2, u)
     beta_vals = problem.reaction.beta(sol.space.on_grid(u))

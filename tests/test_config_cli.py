@@ -718,6 +718,20 @@ class TestInputsRejectedBeforeOutput:
             "error: line 1, column 1: config sets no keys\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta", ["zero", "arctan"])
+    @pytest.mark.parametrize("damping", ["0", "1.5"])
+    def test_damping_at_the_key(self, tmp_path, capsys, beta, damping):
+        # checked whatever the reaction, as solve_semilinear checks it
+        cfg_path = _edited(tmp_path, "solve_identity.cfg",
+                           {"beta = zero": f"beta = {beta}",
+                            "epsilon = 0.5": f"epsilon = 0.5\ndamping = {damping}"})
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 28, column 1: damping must lie in (0, 1]\n")
+        assert not out.exists()
+
     def test_degenerate_domain_at_the_key(self, tmp_path, capsys):
         cfg_path = _edited(tmp_path, "solve_identity.cfg",
                            {"domain = 0, pi, 0, pi": "domain = 0, 0, 0, pi"})
@@ -862,3 +876,17 @@ class TestRunnerSections:
             assert cells["passed"] == json.dumps(row["passed"])
             for name in ("galerkin_error", "best_error", "bound_rhs"):
                 assert float(cells[name]) == row[name]
+
+
+def test_repeated_epsilon_gives_no_slope_verdict(tmp_path):
+    cfg_path = tmp_path / "rate.cfg"
+    text = (CONFIG_DIR / "rate_identity.cfg").read_text()
+    old = "epsilons = 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625"
+    cfg_path.write_text(text.replace(old, "epsilons = 0.5, 0.5"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 1
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert math.isnan(data["rate"]["slope"])
+    assert data["verdicts"]["rate_slope_ge_0.95"] is False

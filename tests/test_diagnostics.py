@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,13 @@ class TestFitSlope:
 
     def test_all_zero_errors_give_nan(self):
         assert math.isnan(fit_slope([0.5, 0.25], [0.0, 0.0]))
+
+    def test_one_distinct_epsilon_gives_nan_without_a_warning(self):
+        # a repeated epsilon fixes no line: polyfit would warn and fit one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(fit_slope([0.5, 0.5], [0.1, 0.2]))
+            assert math.isnan(fit_slope([0.5, 0.5, 0.25], [0.1, 0.2, 1e-16]))
 
 
 class TestCeaCheck:
