@@ -50,7 +50,6 @@ from functools import cached_property, wraps
 from typing import Optional
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_values,
@@ -591,4 +590,5 @@ def assemble_system(space: GalerkinSpace, A: CoefficientField,
 
 def write_matrix_market(path, matrix):
     """Dump a matrix in MatrixMarket coordinate format."""
+    import scipy.io
     scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))

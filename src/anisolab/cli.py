@@ -286,15 +286,29 @@ def _build_parser():
     return parser
 
 
+def _epsilon_list(text: str) -> tuple:
+    """The epsilons of an ``--epsilon-list`` value; a ValueError names the
+    token at fault, or says that the list is empty."""
+    if not text.strip():
+        raise ValueError("--epsilon-list is empty")
+    epsilons = []
+    for token in text.split(","):
+        try:
+            epsilons.append(float(token))
+        except ValueError:
+            raise ValueError(f"--epsilon-list: {token.strip()!r} is not a "
+                             "number") from None
+    return tuple(epsilons)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {}
-    if args.epsilon_list:
+    if args.epsilon_list is not None:
         try:
-            overrides["study", "epsilons"] = tuple(
-                float(p) for p in args.epsilon_list.split(","))
-        except ValueError:
-            print("error: bad --epsilon-list", file=sys.stderr)
+            overrides["study", "epsilons"] = _epsilon_list(args.epsilon_list)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.basis:
         overrides["discretization", "basis1"] = args.basis

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 # the ledger is computed as ``coefficients.compute_constants``, looked up on
 # the module at each call, so that a replacement set there is the one called
@@ -186,6 +185,7 @@ def _best_approx_error(G_ref, u_ref_coeffs, E):
     """Error of the G-orthogonal projection of the reference onto range(E)."""
     gram = (E.T @ (G_ref @ E)).tocsc()
     rhs = E.T @ (G_ref @ u_ref_coeffs)
+    import scipy.sparse.linalg as spla
     c = spla.spsolve(gram, rhs)
     return energy_norm(G_ref, u_ref_coeffs - E @ c)
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .assembly import AssembledProblem, KronOperator, assemble_system, energy_norm
 from .coefficients import CoefficientField, ConstantLedger, ReactionSpec, SourceField
@@ -173,6 +172,7 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
         raise ValueError("solve_semilinear expects a custom reaction")
     system, F = _system_and_load(problem, space, system)
     K = system.operator(problem.epsilon).tocsr()
+    import scipy.sparse.linalg as spla
     lu = spla.splu(K.tocsc())
     scale = np.linalg.norm(F) or 1.0
     u = np.zeros(space.dim) if initial is None else np.array(initial, dtype=float)

@@ -2,6 +2,10 @@
 Jacobi or no preconditioner, a dense Cholesky fallback, and an automatic LU
 route for matrices that fail the symmetry check or operators whose own
 verdict says they are not symmetric.
+
+The direct routes import their solvers on first use, ``scipy.sparse.linalg``
+for LU and ``scipy.linalg`` for Cholesky, so a process that only runs CG
+never loads either.
 """
 
 from __future__ import annotations
@@ -10,9 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 __all__ = [
     "SolverConfig",
@@ -145,6 +147,7 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
     if symmetric is None:
         symmetric = _is_symmetric(K.tocsr())
     if not symmetric:
+        import scipy.sparse.linalg as spla
         Ks = K.tocsr()
         lu = spla.splu(Ks.tocsc())
         x = lu.solve(b)
@@ -153,6 +156,7 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
     if cfg.method == "dense":
         if n > DENSE_LIMIT:
             raise ValueError(f"dense Cholesky limited to n <= {DENSE_LIMIT}, got {n}")
+        import scipy.linalg
         dense = K.toarray()
         c, low = scipy.linalg.cho_factor(dense)
         x = scipy.linalg.cho_solve((c, low), b)

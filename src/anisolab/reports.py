@@ -10,6 +10,7 @@ a %-format is written by one template, the same text as cell by cell.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,7 +72,7 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -80,6 +81,8 @@ def _jsonable(obj):
 
 
 def write_summary(path, summary: dict):
-    """Write ``summary`` as indented JSON with sorted keys."""
-    payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2) + "\n"
+    """Write ``summary`` as indented JSON with sorted keys, a non-finite
+    number as ``null``, so that strict JSON readers accept the file."""
+    payload = json.dumps(_jsonable(summary), sort_keys=True, indent=2,
+                         allow_nan=False) + "\n"
     Path(path).write_text(payload)

@@ -12,6 +12,10 @@ propagator while the space is small next to the stored entries of the step's
 system matrix, else through one ``splu`` factorisation.  Deviation studies
 evolve both generators with the same stepper and step count so the stepper
 bias cancels to first order, and certify the remainder by step doubling.
+
+Only the ``splu`` route and :func:`resolvent_apply` use a sparse direct
+solver, and each imports ``scipy.sparse.linalg`` on first use; the module
+attribute ``spla`` names it without loading it at import.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import (AssembledProblem, _matrix_1d, _plain_factor, _project_1d,
                        assemble_system, energy_norm)
@@ -32,6 +35,16 @@ from .coefficients import (CoefficientField, HypothesisNotSatisfied, ReactionSpe
 from .diagnostics import RATE_SLOPE_MIN, fit_slope
 from .elliptic import LIMIT, ProblemSpec, solve_linear, within_bound
 from .spaces import GalerkinSpace
+
+
+def __getattr__(name):
+    # ``spla`` resolves on first access, so importing this module loads no
+    # sparse direct solver
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DiscreteGenerator",
@@ -208,6 +221,7 @@ def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float):
         solve = np.linalg.inv(A).dot if cfg.source is not None else None
         M = gen.M.toarray()
     else:
+        import scipy.sparse.linalg as spla
         lu = spla.splu(A)
         B = B.tocsr()
 
@@ -276,6 +290,7 @@ def resolvent_apply(gen: DiscreteGenerator, mu: float, f) -> np.ndarray:
     if mu <= 0:
         raise ValueError("resolvent parameter must be positive")
     f = np.asarray(f, dtype=float)
+    import scipy.sparse.linalg as spla
     u = spla.spsolve((mu * gen.M + gen.K).tocsc(), gen.M @ f)
     nf = gen.m_norm(f)
     nu = gen.m_norm(u)

@@ -887,6 +887,27 @@ def test_repeated_epsilon_gives_no_slope_verdict(tmp_path):
         warnings.simplefilter("error")
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 1
-    data = json.loads((tmp_path / "summary.json").read_text())
-    assert math.isnan(data["rate"]["slope"])
+    data = json.loads((tmp_path / "summary.json").read_text(),
+                      parse_constant=_refuse_constant)
+    assert data["rate"]["slope"] is None
     assert data["verdicts"]["rate_slope_ge_0.95"] is False
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+class TestEpsilonListFlag:
+    @pytest.mark.parametrize("value,message", [
+        ("", "--epsilon-list is empty"),
+        (" ", "--epsilon-list is empty"),
+        ("0.5,x", "--epsilon-list: 'x' is not a number"),
+        ("0.5,,0.25", "--epsilon-list: '' is not a number"),
+    ])
+    def test_fault_exits_2_before_output(self, tmp_path, capsys, value, message):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(CONFIG_DIR / "rate_identity.cfg"),
+                     "--out", str(out), "--epsilon-list", value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()

@@ -7,7 +7,7 @@ import pytest
 
 from anisolab.cli import run_config
 from anisolab.config import load_config, shipped_config_dir
-from anisolab.reports import CSV_COLUMNS, write_csv
+from anisolab.reports import CSV_COLUMNS, write_csv, write_summary
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -70,3 +70,15 @@ def test_cell_formats(tmp_path):
         "refused,5.00000000000000000e-01",
         "2.50000000000000000e-01,nan",
     ]
+
+
+def test_summary_writes_non_finite_numbers_as_null(tmp_path):
+    path = tmp_path / "summary.json"
+    write_summary(path, {"a": [float("nan"), np.inf, -np.inf, np.float64(0.5)],
+                         "b": np.array([np.nan, 1.0]), "c": np.float32(np.inf)})
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "a": [None, None, None, 0.5], "b": [None, 1.0], "c": None}
