@@ -95,30 +95,30 @@ class KronOperator:
     a term to a vector ``x`` as ``B1 X B2^T`` with ``X = x.reshape(n1, n2)``:
     O(m^3) work for sine factors instead of the O(m^4) of the materialised
     product.  ``symmetric`` is the symmetry verdict that
-    :func:`anisolab.linsolve.solve` routes by (None when not known).
+    :func:`anisolab.linsolve.solve` routes by (None when not known).  Every
+    view of the operator (``@``, ``diagonal``, ``tocsr``, ``toarray``,
+    ``row_blocks``) is read off the same scaled terms and remainders.
     """
 
     def __init__(self, n1: int, n2: int, terms=(), remainders=(),
-                 symmetric: Optional[bool] = None, parts=None):
+                 symmetric: Optional[bool] = None):
         self.n1, self.n2 = n1, n2
         self.shape = (n1 * n2, n1 * n2)
         self.terms = tuple(terms)
         self.remainders = tuple(remainders)
         self.symmetric = symmetric
-        self._parts = parts
 
     @classmethod
     def combine(cls, parts, symmetric: Optional[bool] = None) -> "KronOperator":
-        """``sum s * op`` over ``(s, op)`` pairs of operators on one space;
-        zero scales and zero operators are left out.  ``@`` runs over the
-        scaled terms of all parts, and ``tocsr`` sums the parts' own CSR
-        views."""
+        """``sum s * op`` over ``(s, op)`` pairs of operators on one space:
+        one operator of the scaled terms and remainders of all parts; zero
+        scales and zero operators are left out."""
         n1, n2 = parts[0][1].n1, parts[0][1].n2
-        parts = tuple((s, op) for s, op in parts if s != 0.0 and not op.is_zero)
+        parts = [(s, op) for s, op in parts if s != 0.0 and not op.is_zero]
         return cls(n1, n2,
                    [(s * c, B1, B2) for s, op in parts for c, B1, B2 in op.terms],
                    [(s * r, R) for s, op in parts for r, R in op.remainders],
-                   symmetric, parts)
+                   symmetric)
 
     @property
     def is_zero(self) -> bool:
@@ -144,28 +144,19 @@ class KronOperator:
             out += s * R.diagonal()
         return out
 
-    def tocsr(self) -> sp.csr_matrix:
-        """CSR materialisation.  An operator of terms and remainders builds
-        its view once and returns it on every call (do not modify it); a
-        combination returns a new sum of its parts' views."""
-        if self._parts is None:
-            return self._own_csr
-        return self._sum([s * op.tocsr() for s, op in self._parts])
-
     @cached_property
-    def _own_csr(self) -> sp.csr_matrix:
-        return self._sum(
-            [sp.csr_matrix(c * sp.kron(sp.csr_matrix(B1), sp.csr_matrix(B2)))
-             for c, B1, B2 in self.terms]
-            + [sp.csr_matrix(s * R) for s, R in self.remainders])
-
-    def _sum(self, pieces) -> sp.csr_matrix:
+    def _csr(self) -> sp.csr_matrix:
+        pieces = ([sp.csr_matrix(c * sp.kron(sp.csr_matrix(B1), sp.csr_matrix(B2)))
+                   for c, B1, B2 in self.terms]
+                  + [sp.csr_matrix(s * R) for s, R in self.remainders])
         if not pieces:
             return sp.csr_matrix(self.shape)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out = out + piece
-        return out.tocsr()
+        return sum(pieces[1:], pieces[0]).tocsr()
+
+    def tocsr(self) -> sp.csr_matrix:
+        """CSR materialisation, built once from the scaled terms and
+        remainders and returned on every call (do not modify it)."""
+        return self._csr
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)

@@ -281,6 +281,11 @@ def _validate(cfg: ExperimentConfig, where: dict):
         _REACTIONS[cfg.problem.beta](cfg.problem.mu)
     except ValueError as exc:
         raise error(str(exc), "problem", "mu")
+    for mu in st.mus:  # the reactions of the linear-reaction rate study
+        try:
+            ReactionSpec.linear(mu)
+        except ValueError as exc:
+            raise error(str(exc), "study", "mus")
     d = cfg.discretization
     for attr in ("basis1", "basis2"):
         if getattr(d, attr) not in _FAMILIES:
@@ -313,6 +318,15 @@ def _validate(cfg: ExperimentConfig, where: dict):
         domain = TensorDomain(cfg.problem.domain[:2], cfg.problem.domain[2:])
     except ValueError as exc:
         raise error(str(exc), "problem", "domain")
+    # a Cea or AP study nests each size in the last size refined once
+    fine_m = 2 * st.sizes[-1]
+    for kind, side in ((d.basis1, domain.omega1), (d.basis2, domain.omega2)):
+        fine = _FAMILIES[kind](side, fine_m)
+        for m in st.sizes:
+            if not _FAMILIES[kind](side, m).is_nested_in(fine):
+                raise error(f"a {kind} basis of size {m} is not nested in the "
+                            f"reference size {fine_m}, the last size refined once",
+                            "study", "sizes")
     # [problem] expressions and u0 are functions of x1 and x2 alone (t is the
     # time of the parabolic source).  Coefficients must be finite on the
     # sample grid of CoefficientField.validate, which would reject the same

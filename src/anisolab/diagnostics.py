@@ -24,7 +24,7 @@ from .coefficients import (ConstantLedger, HypothesisNotSatisfied, ReactionSpec,
                            grid_values, missing_hypotheses)
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, galerkin_solve,
                        solve_linear, within_bound)
-from .linsolve import SolverConfig
+from .linsolve import SolverConfig, lu_solver
 from .spaces import GalerkinSpace, embedding_matrix
 
 __all__ = [
@@ -183,10 +183,8 @@ class CeaReport:
 
 def _best_approx_error(G_ref, u_ref_coeffs, E):
     """Error of the G-orthogonal projection of the reference onto range(E)."""
-    gram = (E.T @ (G_ref @ E)).tocsc()
-    rhs = E.T @ (G_ref @ u_ref_coeffs)
-    import scipy.sparse.linalg as spla
-    c = spla.spsolve(gram, rhs)
+    gram = E.T @ (G_ref @ E)
+    c = lu_solver(gram)(E.T @ (G_ref @ u_ref_coeffs))
     return energy_norm(G_ref, u_ref_coeffs - E @ c)
 
 

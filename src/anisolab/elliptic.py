@@ -29,7 +29,7 @@ import numpy as np
 
 from .assembly import AssembledProblem, KronOperator, assemble_system, energy_norm
 from .coefficients import CoefficientField, ConstantLedger, ReactionSpec, SourceField
-from .linsolve import NonConvergenceError, SolverConfig, solve
+from .linsolve import NonConvergenceError, SolverConfig, lu_solver, solve
 from .reports import write_csv
 from .spaces import GalerkinSpace, TensorDomain
 
@@ -172,13 +172,12 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
         raise ValueError("solve_semilinear expects a custom reaction")
     system, F = _system_and_load(problem, space, system)
     K = system.operator(problem.epsilon).tocsr()
-    import scipy.sparse.linalg as spla
-    lu = spla.splu(K.tocsc())
+    lu_solve = lu_solver(K)
     scale = np.linalg.norm(F) or 1.0
     u = np.zeros(space.dim) if initial is None else np.array(initial, dtype=float)
     load = reaction_load(space, problem.reaction, u)
     res = np.linalg.norm(K @ u + load - F)
-    step = lu.solve(F - load)
+    step = lu_solve(F - load)
     history = [res]
     theta = damping
     halvings = 0
@@ -196,7 +195,7 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
             return _solution(problem, space, u, picard_iterations=it,
                              final_residual=res / scale,
                              residual_history=history)
-        step = lu.solve(F - load)
+        step = lu_solve(F - load)
     raise NonConvergenceError(
         u, res, max_picard, hint="retry with a smaller damping factor")
 

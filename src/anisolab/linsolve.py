@@ -3,9 +3,9 @@ Jacobi or no preconditioner, a dense Cholesky fallback, and an automatic LU
 route for matrices that fail the symmetry check or operators whose own
 verdict says they are not symmetric.
 
-The direct routes import their solvers on first use, ``scipy.sparse.linalg``
-for LU and ``scipy.linalg`` for Cholesky, so a process that only runs CG
-never loads either.
+:func:`lu_solver` is the package's one sparse LU.  The direct routes import
+their solvers on first use, ``scipy.sparse.linalg`` for LU and
+``scipy.linalg`` for Cholesky, so a process that only runs CG loads neither.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "SolveResult",
     "NonConvergenceError",
     "IndefiniteOperatorError",
+    "lu_solver",
     "solve",
 ]
 
@@ -85,6 +86,12 @@ def _is_symmetric(K, tol=1e-12):
     return np.max(gaps) <= tol * max(np.max(scales), 1e-300)
 
 
+def lu_solver(K) -> Callable[[np.ndarray], np.ndarray]:
+    """``b -> K^{-1} b`` by one sparse LU factorisation (``splu``) of ``K``."""
+    import scipy.sparse.linalg as spla
+    return spla.splu(sp.csc_matrix(K)).solve
+
+
 def _cg(K, b, x0, rel_tol, max_iter, precond, callback):
     n = b.shape[0]
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -147,10 +154,8 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
     if symmetric is None:
         symmetric = _is_symmetric(K.tocsr())
     if not symmetric:
-        import scipy.sparse.linalg as spla
         Ks = K.tocsr()
-        lu = spla.splu(Ks.tocsc())
-        x = lu.solve(b)
+        x = lu_solver(Ks)(b)
         return SolveResult(x, float(np.linalg.norm(b - Ks @ x)), 0)
 
     if cfg.method == "dense":

@@ -2,20 +2,20 @@
 approximation of the flow, contraction time stepping, and the deviation
 studies between the perturbed and limit evolutions.
 
-The resolvent deviation study solves each resolvent as the linear Galerkin
-problem with reaction ``mu`` (:func:`anisolab.elliptic.solve_linear`).
+The resolvent deviation study is the rate study of the linear Galerkin
+problem with reaction ``mu`` (:func:`anisolab.diagnostics.rate_study`).
 
 The flow itself is never exponentiated: each march builds the linear map of
 one backward Euler, Crank-Nicolson or bounded-operator RK4 step (for
 ``u' = mu^2 R_mu u - mu u``) once and applies it once per step, as a dense
 propagator while the space is small next to the stored entries of the step's
-system matrix, else through one ``splu`` factorisation.  Deviation studies
-evolve both generators with the same stepper and step count so the stepper
-bias cancels to first order, and certify the remainder by step doubling.
+system matrix, else through one sparse LU (``linsolve.lu_solver``).
+Deviation studies evolve both generators with the same stepper and step
+count so the stepper bias cancels to first order, and certify the remainder
+by step doubling.
 
-Only the ``splu`` route and :func:`resolvent_apply` use a sparse direct
-solver, and each imports ``scipy.sparse.linalg`` on first use; the module
-attribute ``spla`` names it without loading it at import.
+The attribute ``spla`` names ``scipy.sparse.linalg`` without loading it at
+import, only so that the route tests can count the ``splu`` calls.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ from .assembly import (AssembledProblem, _matrix_1d, _plain_factor, _project_1d,
                        assemble_system, energy_norm)
 from .coefficients import (CoefficientField, HypothesisNotSatisfied, ReactionSpec,
                            SourceField, missing_hypotheses)
-from .diagnostics import RATE_SLOPE_MIN, fit_slope
-from .elliptic import LIMIT, ProblemSpec, solve_linear, within_bound
+from .diagnostics import RATE_SLOPE_MIN, fit_slope, rate_study
+from .elliptic import LIMIT, ProblemSpec, within_bound
+from .linsolve import lu_solver
 from .spaces import GalerkinSpace
 
 
 def __getattr__(name):
-    # ``spla`` resolves on first access, so importing this module loads no
-    # sparse direct solver
+    # ``spla`` resolves on first access; only the route tests read it
     if name == "spla":
         import scipy.sparse.linalg
         return scipy.sparse.linalg
@@ -167,7 +167,10 @@ _NORM_BLOCK_ENTRIES = 1 << 18
 
 
 def _m_norms(M, states) -> np.ndarray:
-    """M-norm of every row of ``states``."""
+    """M-norm of every row of ``states``; the product with the sparse ``M``
+    is dense while ``n^2 <= _DENSE_STEP_RATIO * nnz(M)``."""
+    if M.shape[0] ** 2 <= _DENSE_STEP_RATIO * M.nnz:
+        M = M.toarray()
     return np.sqrt(np.maximum(
         np.einsum("ki,ki->k", states, (M @ states.T).T), 0.0))
 
@@ -192,15 +195,14 @@ def _rk4(L, u, tau: float):
 
 
 def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float):
-    """``(step, M)``: ``step(u, k)`` is the state after step ``k + 1`` from
-    the state ``u`` before it, and ``M`` the mass matrix to take M-norms with
-    (dense on the dense route, where a dense product is faster).
+    """``step(u, k)``: the state after step ``k + 1`` from the state ``u``
+    before it.
 
     With ``A`` the system matrix of the step and ``B`` its right-hand side
     operator, the step applies ``A^{-1} B`` (composed into RK4 for the
     bounded-operator route), plus ``tau A^{-1} F`` for a backward Euler
     source.  Only how these are applied depends on the size: as dense
-    matrices formed once, or by ``splu`` back-solves and sparse products.
+    matrices formed once, or by ``lu_solver`` back-solves and sparse products.
     """
     mu = cfg.yosida_mu
     if cfg.stepper == "be":
@@ -219,28 +221,24 @@ def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float):
             P = _rk4(L.__matmul__, np.eye(n), tau)
         apply = P.dot
         solve = np.linalg.inv(A).dot if cfg.source is not None else None
-        M = gen.M.toarray()
     else:
-        import scipy.sparse.linalg as spla
-        lu = spla.splu(A)
+        solve = lu_solver(A)
         B = B.tocsr()
 
         def apply(u):
-            return lu.solve(B @ u)
+            return solve(B @ u)
         if cfg.stepper == "yosida":
             resolve = apply
 
             def apply(u):
                 return _rk4(lambda v: mu * mu * resolve(v) - mu * v, u, tau)
-        solve = lu.solve
-        M = gen.M
     if cfg.source is None:
-        return (lambda u, k: apply(u)), M
+        return lambda u, k: apply(u)
 
     def step(u, k):
         load = np.asarray(cfg.source((k + 1) * tau), dtype=float)
         return apply(u) + solve(tau * load)
-    return step, M
+    return step
 
 
 def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
@@ -251,17 +249,17 @@ def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
     route applies classical RK4 to ``u' = mu^2 R_mu u - mu u``.  The step's
     linear map is built once per call: a dense propagator, one mat-vec per
     step, while ``n^2 <= _DENSE_STEP_RATIO * nnz`` of the step's system
-    matrix, and one ``splu`` factorisation with a back-solve per step (four
+    matrix, and one sparse LU factorisation with a back-solve per step (four
     for RK4) above it.  The M-norms are taken blockwise after the steps of
-    each block, and :class:`ContractionError` names the first step that
-    grew the norm.  Only the sampled states are kept.
+    each block (:func:`_m_norms`), and :class:`ContractionError` names the
+    first step that grew the norm.  Only the sampled states are kept.
     """
     u = np.array(g, dtype=float)
     if cfg.T == 0:
         return Trajectory(np.array([0.0]), u[None, :].copy(), np.array([gen.m_norm(u)]))
     tau = cfg.T / cfg.steps
     sample = _sample_indices(cfg, tau)
-    step, M = _step_map(gen, cfg, tau)
+    step = _step_map(gen, cfg, tau)
     slack = _CONTRACTION_SLACK[cfg.stepper]
     states = np.empty((len(sample), u.size))
     norms = np.empty(cfg.steps + 1)
@@ -272,7 +270,7 @@ def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
         last = min(first + rows, cfg.steps + 1)  # block holds states first..last-1
         for k in range(max(first, 1), last):
             u = block[k - first] = step(u, k - 1)
-        norms[first:last] = _m_norms(M, block[: last - first])
+        norms[first:last] = _m_norms(gen.M, block[: last - first])
         lo = max(first, 1)
         grew = norms[lo:last] > norms[lo - 1:last - 1] * (1.0 + slack)
         if cfg.source is None and grew.any():
@@ -290,8 +288,7 @@ def resolvent_apply(gen: DiscreteGenerator, mu: float, f) -> np.ndarray:
     if mu <= 0:
         raise ValueError("resolvent parameter must be positive")
     f = np.asarray(f, dtype=float)
-    import scipy.sparse.linalg as spla
-    u = spla.spsolve((mu * gen.M + gen.K).tocsc(), gen.M @ f)
+    u = lu_solver(mu * gen.M + gen.K)(gen.M @ f)
     nf = gen.m_norm(f)
     nu = gen.m_norm(u)
     if nu > nf / mu * (1.0 + 1e-10) + 1e-14:
@@ -317,7 +314,7 @@ def resolvent_deviation(space: GalerkinSpace, A: CoefficientField,
                         epsilons: Sequence[float], mu: float,
                         f: SourceField) -> ResolventDeviationStudy:
     """M-norm distance between the perturbed and limit resolvents applied to
-    f, each a :func:`solve_linear` with the linear reaction ``mu``."""
+    f: the L2 errors of the rate study of the linear reaction ``mu``."""
     if mu <= 0:
         raise ValueError("resolvent parameter must be positive")
     missing = missing_hypotheses("resolvent", A, f)
@@ -325,14 +322,8 @@ def resolvent_deviation(space: GalerkinSpace, A: CoefficientField,
         return ResolventDeviationStudy(list(epsilons), [], float("nan"),
                                        refusal="missing hypotheses: "
                                        + ", ".join(missing))
-    system = assemble_system(space, A, f)
     problem = ProblemSpec(space.domain, A, f, ReactionSpec.linear(mu))
-
-    def resolve(eps):
-        return solve_linear(problem.with_epsilon(eps), space, system=system).coeffs
-
-    u0 = resolve(LIMIT)
-    deviations = [energy_norm(system.M, resolve(eps) - u0) for eps in epsilons]
+    deviations = rate_study(problem, space, epsilons, check_bound=False).e_l2
     return ResolventDeviationStudy(list(epsilons), deviations,
                                    fit_slope(epsilons, deviations))
 

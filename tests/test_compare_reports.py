@@ -49,3 +49,16 @@ def test_shared_configs_reach_paths_no_shipped_config_does():
                              ("cea_arctan.cfg", "cea", "arctan"),
                              ("rate_linear.cfg", "rate", "linear")):
         assert (configs[name].study.kind, configs[name].problem.beta) == (kind, beta)
+
+
+def test_tree_without_the_package_is_refused_before_any_run(tmp_path, capsys,
+                                                            monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(compare_reports, "run", refuse)
+    src = Path(compare_reports.__file__).resolve().parents[1] / "src"
+    missing = tmp_path / "nonexistent"
+    assert compare_reports.main([str(missing), str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no anisolab/__init__.py under {missing}\n"

@@ -911,3 +911,59 @@ class TestEpsilonListFlag:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+class TestStudyListsAtTheKey:
+    # in cea_variable_a22.cfg (q1, m = 8) sizes sits on line 26; in
+    # ap_identity.cfg (sine) on line 28; in tools/configs/rate_linear.cfg a
+    # mus line after check_bound sits on line 31.  Each of these faults used
+    # to surface only after the reference solve, without its position.
+    NESTING = "is not nested in the reference size {}, the last size refined once"
+
+    @pytest.mark.parametrize("cfg_name,edits,flags,line,message", [
+        ("cea_variable_a22.cfg", {"sizes = 4, 8, 16": "sizes = 3, 4"},
+         ["run"], 26, "a q1 basis of size 3 " + NESTING.format(8)),
+        ("cea_variable_a22.cfg", {"sizes = 4, 8, 16": "sizes = 4, 3"},
+         ["run"], 26, "a q1 basis of size 4 " + NESTING.format(6)),
+        # the subcommand sets the kind after loading
+        ("cea_variable_a22.cfg", {"sizes = 4, 8, 16": "sizes = 3, 4"},
+         ["ap-check"], 26, "a q1 basis of size 3 " + NESTING.format(8)),
+        ("cea_variable_a22.cfg",
+         {"basis1 = q1": "basis1 = sine", "sizes = 4, 8, 16": "sizes = 3, 4"},
+         ["run"], 26, "a q1 basis of size 3 " + NESTING.format(8)),
+        # the basis comes from the command line
+        ("ap_identity.cfg", {"sizes = 2, 4, 8, 16": "sizes = 3, 4"},
+         ["run", "--basis", "q1"], 28, "a q1 basis of size 3 " + NESTING.format(8)),
+    ])
+    def test_sizes_that_do_not_nest(self, tmp_path, capsys, cfg_name, edits,
+                                    flags, line, message):
+        cfg_path = _edited(tmp_path, cfg_name, edits)
+        out = tmp_path / "out"
+        code = main([flags[0], "--config", str(cfg_path), "--out", str(out),
+                     *flags[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}, column 1: {message}\n")
+        assert not out.exists()
+
+    def test_sizes_that_nest_are_accepted(self):
+        cea = (CONFIG_DIR / "cea_variable_a22.cfg").read_text()
+        assert parse_config(cea.replace("sizes = 4, 8, 16",
+                                        "sizes = 3, 6")).study.sizes == (3, 6)
+        ap = (CONFIG_DIR / "ap_identity.cfg").read_text()
+        assert parse_config(ap.replace("sizes = 2, 4, 8, 16",
+                                       "sizes = 5, 3")).study.sizes == (5, 3)
+
+    @pytest.mark.parametrize("mus", ["0, 10", "10, -1"])
+    def test_nonpositive_mus(self, tmp_path, capsys, mus):
+        text = (TOOL_CONFIG_DIR / "rate_linear.cfg").read_text()
+        assert text.splitlines().count("check_bound = true") == 1
+        cfg_path = tmp_path / "rate_linear.cfg"
+        cfg_path.write_text(text.replace("check_bound = true",
+                                         f"check_bound = true\nmus = {mus}"))
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 31, column 1: linear reaction needs mu > 0\n")
+        assert not out.exists()

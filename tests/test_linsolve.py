@@ -9,7 +9,7 @@ from anisolab.assembly import assemble_system
 from anisolab.coefficients import CoefficientField, as_field
 from anisolab.elliptic import ProblemSpec, solve_linear
 from anisolab.linsolve import (IndefiniteOperatorError, NonConvergenceError,
-                               SolverConfig, _is_symmetric, solve)
+                               SolverConfig, _is_symmetric, lu_solver, solve)
 
 
 def random_spd(n, seed):
@@ -189,3 +189,16 @@ class TestSymmetryCheck:
         stored = K.toarray()
         assert np.count_nonzero(stored) < K.nnz
         assert _is_symmetric(K) == _sparse_verdict(K) == _is_symmetric(stored) == symmetric
+
+
+def test_lu_solver_matches_spsolve_on_a_cea_gram_matrix(dom):
+    # the Gram matrix and right-hand side of the Cea check's best
+    # approximation of a q1 m=8 reference onto its m=4 subspace
+    import scipy.sparse.linalg as spla
+    from anisolab.spaces import build_space, embedding_matrix
+    fine = build_space(dom, "q1", 8, "q1", 8)
+    G = assemble_system(fine, CoefficientField.identity()).G2.tocsr()
+    E = embedding_matrix(build_space(dom, "q1", 4, "q1", 4), fine)
+    gram = E.T @ (G @ E)
+    rhs = E.T @ (G @ np.random.default_rng(3).normal(size=fine.dim))
+    assert np.array_equal(lu_solver(gram)(rhs), spla.spsolve(gram.tocsc(), rhs))

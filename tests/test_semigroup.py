@@ -363,3 +363,18 @@ class TestContractionError:
     def test_resolvent_raises(self, sine8, growing):
         with pytest.raises(ContractionError, match="resolvent"):
             resolvent_apply(growing, 1.0, first_mode(sine8))
+
+
+@pytest.mark.parametrize("space_name", ["sine8", "q1_8"])
+def test_resolvent_deviations_are_the_linear_rate_study(request, A_offdiag_const,
+                                                        f_mode11, space_name):
+    from anisolab.coefficients import ReactionSpec
+    from anisolab.diagnostics import rate_study
+    from anisolab.elliptic import ProblemSpec
+    space = request.getfixturevalue(space_name)
+    eps, mu = [0.5, 0.25, 0.125], 2.0
+    study = resolvent_deviation(space, A_offdiag_const, eps, mu, f_mode11)
+    problem = ProblemSpec(space.domain, A_offdiag_const, f_mode11,
+                          ReactionSpec.linear(mu))
+    rate = rate_study(problem, space, eps, check_bound=False)
+    assert study.deviations == rate.e_l2

@@ -28,6 +28,8 @@ prints every ledger entry with its formula; these runs are labelled
 The exit status is 1 when a report is missing on one side or its text
 differs, a number moves by more than ``TOLERANCE * max(1, |old|)``, or the
 exit codes, standard output or standard error of a run differ; otherwise 0.
+It is 2, before any run, when either directory holds no
+``anisolab/__init__.py``.
 The closing line counts the runs that agree: shipped, shared, q1 and
 constants apart.
 Standard library only.
@@ -133,6 +135,12 @@ def main(argv=None) -> int:
         print("usage: compare_reports.py OLD_SRC NEW_SRC", file=sys.stderr)
         return 2
     old_src, new_src = (Path(a).resolve() for a in args)
+    missing = [str(src) for src in (old_src, new_src)
+               if not (src / "anisolab" / "__init__.py").is_file()]
+    if missing:
+        print(f"error: no anisolab/__init__.py under {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
     names = sorted({p.name for src in (old_src, new_src)
                     for p in (src / "anisolab" / "configs").glob("*.cfg")})
     if not names:
