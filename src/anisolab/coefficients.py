@@ -504,7 +504,9 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     offdiag_const = (3.0 * (c2 * sup_da12_dx2) ** 2 + 3.0 * sup_a12 ** 2) / lam
     offdiag_deriv_const = 3.0 * (c2 * sup_da12_dx1) ** 2 / lam
     rate_const_grad = math.sqrt(4.0 * (energy_const + offdiag_const) / lam)
-    rate_const_source = 2.0 * math.sqrt(offdiag_deriv_const) * c2 / lam ** 1.5
+    lam_15 = lam ** 1.5  # 0 for a lam below about 1e-216: the entry is then infinite
+    rate_const_source = (2.0 * math.sqrt(offdiag_deriv_const) * c2 / lam_15
+                         if lam_15 else math.inf)
     dq_const = c2 ** 2 / lam
     dq_const_statement = c2 / lam
 

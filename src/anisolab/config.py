@@ -29,8 +29,7 @@ from .coefficients import (VALIDATE_GRID, CoefficientField, ReactionSpec, Source
 from .elliptic import damping_fault
 from .expressions import ExpressionError, parse_expression
 from .semigroup import evolution_faults
-from .spaces import (_FAMILIES, SINE_MIN_QUAD_ORDER, GalerkinSpace, TensorDomain,
-                     build_space)
+from .spaces import _FAMILIES, GalerkinSpace, TensorDomain, build_space
 
 __all__ = [
     "ConfigError",
@@ -301,9 +300,11 @@ def _validate(cfg: ExperimentConfig, where: dict):
             if m < family.least_m:
                 raise error(f"{attr} must be >= {family.least_m} for a "
                             f"{family.kind} basis, got {m}", section, attr)
-    if "sine" in (d.basis1, d.basis2) and d.quad_order < SINE_MIN_QUAD_ORDER:
-        raise error(f"quad_order must be >= {SINE_MIN_QUAD_ORDER} "
-                    "for a sine basis", "discretization", "quad_order")
+    family = max((_FAMILIES[d.basis1], _FAMILIES[d.basis2]),
+                 key=lambda f: f.least_order)
+    if d.quad_order < family.least_order:
+        raise error(f"quad_order must be >= {family.least_order} for a "
+                    f"{family.kind} basis", "discretization", "quad_order")
     if cfg.problem.lam <= 0:
         raise error("lambda must be positive", "problem", "lam")
     export = cfg.study.export
@@ -319,13 +320,12 @@ def _validate(cfg: ExperimentConfig, where: dict):
     except ValueError as exc:
         raise error(str(exc), "problem", "domain")
     # a Cea or AP study nests each size in the last size refined once
-    fine_m = 2 * st.sizes[-1]
     for kind, side in ((d.basis1, domain.omega1), (d.basis2, domain.omega2)):
-        fine = _FAMILIES[kind](side, fine_m)
+        fine = _FAMILIES[kind](side, st.sizes[-1]).refined(2)
         for m in st.sizes:
             if not _FAMILIES[kind](side, m).is_nested_in(fine):
                 raise error(f"a {kind} basis of size {m} is not nested in the "
-                            f"reference size {fine_m}, the last size refined once",
+                            f"reference size {fine.m}, the last size refined once",
                             "study", "sizes")
     # [problem] expressions and u0 are functions of x1 and x2 alone (t is the
     # time of the parabolic source).  Coefficients must be finite on the

@@ -166,11 +166,17 @@ _DENSE_STEP_RATIO = 40.0
 _NORM_BLOCK_ENTRIES = 1 << 18
 
 
+def _norm_matrix(M):
+    """The sparse ``M`` as :func:`_m_norms` multiplies by it: dense while
+    ``n^2 <= _DENSE_STEP_RATIO * nnz(M)``.  Form it once per sweep of norms."""
+    if sp.issparse(M) and M.shape[0] ** 2 <= _DENSE_STEP_RATIO * M.nnz:
+        return M.toarray()
+    return M
+
+
 def _m_norms(M, states) -> np.ndarray:
-    """M-norm of every row of ``states``; the product with the sparse ``M``
-    is dense while ``n^2 <= _DENSE_STEP_RATIO * nnz(M)``."""
-    if M.shape[0] ** 2 <= _DENSE_STEP_RATIO * M.nnz:
-        M = M.toarray()
+    """M-norm of every row of ``states``; ``M`` is sparse or from :func:`_norm_matrix`."""
+    M = _norm_matrix(M)
     return np.sqrt(np.maximum(
         np.einsum("ki,ki->k", states, (M @ states.T).T), 0.0))
 
@@ -266,11 +272,12 @@ def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
     rows = max(1, min(cfg.steps + 1, _NORM_BLOCK_ENTRIES // u.size))
     block = np.empty((rows, u.size))
     block[0] = u
+    M = _norm_matrix(gen.M)
     for first in range(0, cfg.steps + 1, rows):
         last = min(first + rows, cfg.steps + 1)  # block holds states first..last-1
         for k in range(max(first, 1), last):
             u = block[k - first] = step(u, k - 1)
-        norms[first:last] = _m_norms(gen.M, block[: last - first])
+        norms[first:last] = _m_norms(M, block[: last - first])
         lo = max(first, 1)
         grew = norms[lo:last] > norms[lo - 1:last - 1] * (1.0 + slack)
         if cfg.source is None and grew.any():
@@ -372,6 +379,7 @@ def semigroup_deviation_study(space: GalerkinSpace, A: CoefficientField,
     system = assemble_system(space, A)
     g = np.asarray(g, dtype=float)
     gen0 = build_generator(space, A, LIMIT, system)
+    M = _norm_matrix(gen0.M)
     epsilons = list(epsilons)
     gens = [build_generator(space, A, eps, system) for eps in epsilons]
     found = {}   # index -> (row, trace)
@@ -385,7 +393,7 @@ def semigroup_deviation_study(space: GalerkinSpace, A: CoefficientField,
         cfg = EvolutionConfig(T=2.0 * T, stepper=stepper, steps=2 * m,
                               yosida_mu=yosida_mu)
         traj_0 = evolve(gen0, g, cfg)
-        devs_of = [_m_norms(gen0.M, evolve(gens[i], g, cfg).states - traj_0.states)
+        devs_of = [_m_norms(M, evolve(gens[i], g, cfg).states - traj_0.states)
                    for i in active]
         still = []
         for i, devs in zip(active, devs_of):
@@ -505,12 +513,13 @@ def parabolic_convergence(space: GalerkinSpace, A: CoefficientField,
     gen0 = build_generator(space, A, LIMIT, system)
     cfg = EvolutionConfig(T=T, stepper=stepper, steps=steps, source=source_loads)
     traj0 = evolve(gen0, u0_limit, cfg)
+    M = _norm_matrix(gen0.M)
     rows = []
     for eps in epsilons:
         u0 = np.asarray(u0_of_eps(eps), dtype=float)
         gap = gen0.m_norm(u0 - u0_limit)
         gen = build_generator(space, A, eps, system)
         traj = evolve(gen, u0, cfg)
-        sup = float(_m_norms(gen0.M, traj.states - traj0.states).max())
+        sup = float(_m_norms(M, traj.states - traj0.states).max())
         rows.append(ParabolicRow(eps, gap, sup))
     return ParabolicReport(rows, tol)

@@ -14,7 +14,7 @@ Quadrature is composite Gauss-Legendre.  For Q1 each mesh element carries
 ``quad_order`` points.  For sine the interval is cut into ``m`` equal panels
 (one per mode) carrying ``4 * quad_order`` points each, so the default order 4
 gives ``16 m`` points per direction: a 512 x 512 grid for the 2D space at
-``m = 32``.  Sine needs ``quad_order >= 3``; lower orders are rejected.
+``m = 32``.  Sine needs ``quad_order >= 3`` (its ``least_order``).
 
 A :class:`GalerkinSpace` is the tensor product of two families with the flat
 index convention ``flat = i * dim2 + j`` (second direction fastest), which
@@ -43,12 +43,7 @@ __all__ = [
     "eval_basis",
     "embedding_matrix",
     "gauss_rule",
-    "SINE_MIN_QUAD_ORDER",
 ]
-
-# Smallest ``quad_order`` at which the sine rule (4 * order points per mode)
-# integrates every product of two modes or their derivatives to round-off.
-SINE_MIN_QUAD_ORDER = 3
 
 
 @lru_cache(maxsize=64)
@@ -83,15 +78,11 @@ class Quadrature:
     The cell partition and the points per cell are chosen by the basis
     family from ``order``: Q1 puts ``order`` points on each mesh element;
     sine puts ``4 * order`` points on each of ``m`` uniform panels, i.e.
-    ``16 m`` points per direction at the default order 4.  Sine rejects
-    orders below ``SINE_MIN_QUAD_ORDER`` (3), which miss mode products.
+    ``16 m`` points per direction at the default order 4.  Each family
+    rejects an order below its ``least_order`` when it builds its rule.
     """
 
     order: int = 4
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("quadrature order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,10 +93,13 @@ class TensorDomain:
     omega2: tuple[float, float]
 
     def __post_init__(self):
-        a1, b1 = self.omega1
-        a2, b2 = self.omega2
-        if not (b1 > a1 and b2 > a2):
-            raise ValueError("degenerate interval: each side must have b > a")
+        for a, b in (self.omega1, self.omega2):
+            if not b > a:
+                raise ValueError("degenerate interval: each side must have b > a")
+            scale = math.pi / (b - a)  # poincare_domain takes its square
+            if not 0.0 < scale * scale < math.inf:
+                raise ValueError(f"side length {b - a!r} is out of range: "
+                                 "(pi / length)^2 must be a positive finite number")
 
     @property
     def length1(self) -> float:
@@ -136,16 +130,40 @@ class TensorDomain:
 
 
 class BasisFamily1D:
-    """Base class for a 1D basis on an interval, conforming to zero traces."""
+    """Base class for a 1D basis on an interval, conforming to zero traces.
+
+    A family takes at least ``least_m`` of its ``unit`` and a quadrature
+    order of at least ``least_order``.  It is nested in the family of its
+    kind and interval with ``m`` units when its hook ``_nests_in(m)`` holds,
+    and its hook ``_embedding(fine)`` then gives the embedding.
+    """
 
     kind: str
-    least_m: int  # the fewest subintervals or modes the family takes
-    interval: tuple[float, float]
-    dim: int
+    unit: str  # what m counts
+    least_m: int  # the fewest units the family takes: the size of one function
+    least_order: int  # the lowest quadrature order of its rule
+
+    def __init__(self, interval, m: int):
+        a, b = interval
+        if not b > a:
+            raise ValueError("degenerate interval")
+        if m < self.least_m:
+            raise ValueError(f"{self.kind} family needs at least {self.least_m} "
+                             f"{self.unit}")
+        self.interval = (float(a), float(b))
+        self.m = int(m)
+        self.dim = self.m - self.least_m + 1  # one more function per unit
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.interval}, m={self.m})"
 
     @property
     def length(self) -> float:
         return self.interval[1] - self.interval[0]
+
+    def refined(self, factor: int) -> "BasisFamily1D":
+        """The family of the same kind and interval with ``factor`` times the size."""
+        return type(self)(self.interval, self.m * factor)
 
     def eval_table(self, points):
         """Values and first derivatives of all basis functions.
@@ -159,11 +177,14 @@ class BasisFamily1D:
         raise NotImplementedError
 
     def is_nested_in(self, fine: "BasisFamily1D") -> bool:
-        raise NotImplementedError
+        return (isinstance(fine, type(self)) and fine.interval == self.interval
+                and self._nests_in(fine.m))
 
     def embedding_into(self, fine: "BasisFamily1D"):
         """Matrix ``E`` of shape ``(fine.dim, dim)`` with ``phi_k = sum_l E[l,k] psi_l``."""
-        raise NotImplementedError
+        if not self.is_nested_in(fine):
+            raise ValueError(f"{self!r} is not nested in {fine!r}")
+        return self._embedding(fine)
 
     def pencil_vectors(self):
         """Closed-form eigenvectors (unnormalised columns) of the 1D pencil of
@@ -175,21 +196,13 @@ class Q1Basis(BasisFamily1D):
     """Interior hat functions on a uniform mesh with ``m`` subintervals."""
 
     kind = "q1"
+    unit = "subintervals"
     least_m = 2
+    least_order = 1
 
-    def __init__(self, interval, m: int):
-        a, b = interval
-        if not b > a:
-            raise ValueError("degenerate interval")
-        if m < self.least_m:
-            raise ValueError(f"q1 family needs at least {self.least_m} subintervals")
-        self.interval = (float(a), float(b))
-        self.m = int(m)
-        self.dim = self.m - 1
-        self.h = self.length / self.m
-
-    def __repr__(self):
-        return f"Q1Basis({self.interval}, m={self.m})"
+    @property
+    def h(self) -> float:
+        return self.length / self.m
 
     def _locate(self, x):
         a, _ = self.interval
@@ -216,22 +229,17 @@ class Q1Basis(BasisFamily1D):
         return V, D
 
     def quad_points(self, order: int):
+        # gauss_rule rejects an order below least_order
         return _composite_gauss(self.interval[0], self.h, self.m, order)
 
     def nodes(self):
         a, _ = self.interval
         return a + self.h * np.arange(1, self.m)
 
-    def is_nested_in(self, fine) -> bool:
-        return (
-            isinstance(fine, Q1Basis)
-            and fine.interval == self.interval
-            and fine.m % self.m == 0
-        )
+    def _nests_in(self, m: int) -> bool:
+        return m % self.m == 0
 
-    def embedding_into(self, fine):
-        if not self.is_nested_in(fine):
-            raise ValueError(f"{self!r} is not nested in {fine!r}")
+    def _embedding(self, fine):
         # piecewise linear functions are determined by their nodal values
         V, _ = self.eval_table(fine.nodes())
         return V
@@ -247,20 +255,11 @@ class SineBasis(BasisFamily1D):
     """First ``m`` sine modes on the interval, orthonormal in L2."""
 
     kind = "sine"
+    unit = "mode"
     least_m = 1
-
-    def __init__(self, interval, m: int):
-        a, b = interval
-        if not b > a:
-            raise ValueError("degenerate interval")
-        if m < self.least_m:
-            raise ValueError(f"sine family needs at least {self.least_m} mode")
-        self.interval = (float(a), float(b))
-        self.m = int(m)
-        self.dim = self.m
-
-    def __repr__(self):
-        return f"SineBasis({self.interval}, m={self.m})"
+    # the lowest order at which 4 * order points per mode integrate every
+    # product of two modes or their derivatives to round-off
+    least_order = 3
 
     def frequencies(self):
         """Angular frequencies ``k*pi/L``; squares are the stiffness eigenvalues."""
@@ -280,24 +279,17 @@ class SineBasis(BasisFamily1D):
 
     def quad_points(self, order: int):
         # One panel per mode: a product of two modes (values or derivatives)
-        # runs through at most one period on a panel, and 4 * order Gauss
-        # points integrate that to round-off from order 3 up.
-        if order < SINE_MIN_QUAD_ORDER:
+        # runs through at most one period on a panel.
+        if order < self.least_order:
             raise ValueError(f"sine quadrature order must be >= "
-                             f"{SINE_MIN_QUAD_ORDER}, got {order}")
+                             f"{self.least_order}, got {order}")
         return _composite_gauss(self.interval[0], self.length / self.m,
                                 self.m, 4 * order)
 
-    def is_nested_in(self, fine) -> bool:
-        return (
-            isinstance(fine, SineBasis)
-            and fine.interval == self.interval
-            and self.m <= fine.m
-        )
+    def _nests_in(self, m: int) -> bool:
+        return self.m <= m
 
-    def embedding_into(self, fine):
-        if not self.is_nested_in(fine):
-            raise ValueError(f"{self!r} is not nested in {fine!r}")
+    def _embedding(self, fine):
         E = np.zeros((fine.dim, self.dim))
         E[: self.dim, : self.dim] = np.eye(self.dim)
         return E
@@ -396,9 +388,8 @@ class GalerkinSpace:
 
     def refine(self, factor: int = 2) -> "GalerkinSpace":
         """A strictly finer space of the same kinds (nested)."""
-        b1 = _FAMILIES[self.basis1.kind](self.domain.omega1, self.basis1.m * factor)
-        b2 = _FAMILIES[self.basis2.kind](self.domain.omega2, self.basis2.m * factor)
-        return GalerkinSpace(self.domain, b1, b2, self.quadrature)
+        return GalerkinSpace(self.domain, self.basis1.refined(factor),
+                             self.basis2.refined(factor), self.quadrature)
 
 
 def build_space(domain: TensorDomain, kind1: str, m1: int, kind2: str, m2: int,
@@ -406,16 +397,12 @@ def build_space(domain: TensorDomain, kind1: str, m1: int, kind2: str, m2: int,
     """Construct a tensor Galerkin space from family kinds and sizes."""
     if m1 < 1 or m2 < 1:
         raise ValueError("family sizes must be positive")
-    kinds = {}
-    for name, kind, m in (("first", kind1, m1), ("second", kind2, m2)):
-        key = str(kind).lower()
+    keys = [str(kind).lower() for kind in (kind1, kind2)]
+    for name, key, kind in zip(("first", "second"), keys, (kind1, kind2)):
         if key not in _FAMILIES:
             raise ValueError(f"unknown basis kind {kind!r} for {name} direction")
-        kinds[name] = (key, int(m))
-    k1, mm1 = kinds["first"]
-    k2, mm2 = kinds["second"]
-    basis1 = _FAMILIES[k1](domain.omega1, mm1)
-    basis2 = _FAMILIES[k2](domain.omega2, mm2)
+    basis1, basis2 = (_FAMILIES[key](side, int(m)) for key, side, m in
+                      zip(keys, (domain.omega1, domain.omega2), (m1, m2)))
     return GalerkinSpace(domain, basis1, basis2, Quadrature(quad_order))
 
 

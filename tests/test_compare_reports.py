@@ -41,7 +41,7 @@ def test_shared_configs_reach_paths_no_shipped_config_does():
                for p in sorted(compare_reports.SHARED_CONFIGS.glob("*.cfg"))}
     assert set(configs) == {"parabolic_source.cfg", "solve_nonsymmetric.cfg",
                             "solve_arctan.cfg", "cea_arctan.cfg",
-                            "rate_linear.cfg"}
+                            "rate_linear.cfg", "rate_nonseparable.cfg"}
     assert configs["parabolic_source.cfg"].study.source is not None
     problem = configs["solve_nonsymmetric.cfg"].problem
     assert problem.a12 != problem.a21
@@ -49,6 +49,22 @@ def test_shared_configs_reach_paths_no_shipped_config_does():
                              ("cea_arctan.cfg", "cea", "arctan"),
                              ("rate_linear.cfg", "rate", "linear")):
         assert (configs[name].study.kind, configs[name].problem.beta) == (kind, beta)
+
+
+def test_only_the_nonseparable_config_reaches_the_grid_contraction():
+    # a coupling that does not split into x1 and x2 factors keeps the grid
+    # contraction of its blocks; every shipped coupling splits
+    from anisolab.config import load_config, shipped_config_dir
+    from anisolab.expressions import parse_expression
+
+    problem = load_config(compare_reports.SHARED_CONFIGS
+                          / "rate_nonseparable.cfg").problem
+    assert problem.a12 == problem.a21
+    assert parse_expression(problem.a12).separable() is None
+    for path in sorted(shipped_config_dir().glob("*.cfg")):
+        problem = load_config(path).problem
+        for text in (problem.a11, problem.a12, problem.a21, problem.a22):
+            assert parse_expression(text).separable() is not None, path.name
 
 
 def test_tree_without_the_package_is_refused_before_any_run(tmp_path, capsys,

@@ -197,3 +197,54 @@ class TestQuadrature:
         pts, wts = basis.quad_points(4)
         assert wts.sum() == pytest.approx(2.0, abs=1e-14)
         assert pts.min() > 0 and pts.max() < 2.0
+
+
+class TestFamilyRules:
+    # each rule is stated once on BasisFamily1D and read by both families
+    @pytest.mark.parametrize("cls,least_m,least_order,unit", [
+        (Q1Basis, 2, 1, "subintervals"), (SineBasis, 1, 3, "mode")])
+    def test_least_size_and_order(self, cls, least_m, least_order, unit):
+        assert (cls.least_m, cls.least_order, cls.unit) == (least_m, least_order, unit)
+        # the least size holds one function, and each unit adds one
+        assert [cls((0.0, 1.0), least_m + k).dim for k in range(3)] == [1, 2, 3]
+        with pytest.raises(ValueError, match=f"^{cls.kind} family needs at "
+                                             f"least {least_m} {unit}$"):
+            cls((0.0, 1.0), least_m - 1)
+        with pytest.raises(ValueError, match="^degenerate interval$"):
+            cls((1.0, 1.0), 4)
+        with pytest.raises(ValueError, match="quadrature order must be >= "
+                                             f"{least_order}"):
+            cls((0.0, 1.0), 4).quad_points(least_order - 1)
+        pts, _ = cls((0.0, 1.0), 4).quad_points(least_order)
+        assert pts.size > 0
+
+    @pytest.mark.parametrize("cls", [Q1Basis, SineBasis])
+    def test_refined_is_nested_and_keeps_kind_and_interval(self, cls):
+        coarse = cls((-0.5, 1.3), 4)
+        fine = coarse.refined(3)
+        assert (type(fine), fine.interval, fine.m) == (cls, coarse.interval, 12)
+        assert repr(fine) == f"{cls.__name__}((-0.5, 1.3), m=12)"
+        assert coarse.is_nested_in(fine) and not fine.is_nested_in(coarse)
+        assert coarse.embedding_into(fine).shape == (fine.dim, coarse.dim)
+        with pytest.raises(ValueError, match="is not nested in"):
+            fine.embedding_into(coarse)
+
+    def test_nesting_needs_the_same_kind_interval_and_a_nested_size(self):
+        q1, sine = Q1Basis((0.0, 1.0), 4), SineBasis((0.0, 1.0), 4)
+        assert not q1.is_nested_in(sine) and not sine.is_nested_in(q1)
+        assert not q1.is_nested_in(Q1Basis((0.0, 2.0), 8))
+        assert not q1.is_nested_in(Q1Basis((0.0, 1.0), 6))
+        assert sine.is_nested_in(SineBasis((0.0, 1.0), 5))
+
+    def test_refined_space_refines_both_directions(self, dom):
+        space = build_space(dom, "q1", 4, "sine", 3, quad_order=5)
+        fine = space.refine(2)
+        assert (fine.basis1.m, fine.basis2.m) == (8, 6)
+        assert (fine.basis1.kind, fine.basis2.kind) == ("q1", "sine")
+        assert fine.quadrature is space.quadrature
+
+    @pytest.mark.parametrize("side", [(0.0, 1e-200), (-1e200, 1e200),
+                                      (-1e308, 1e308)])
+    def test_side_out_of_range_rejected(self, side):
+        with pytest.raises(ValueError, match="is out of range"):
+            TensorDomain(side, (0.0, 1.0))

@@ -227,3 +227,54 @@ def test_deviation_study_marches_the_same_steps(monkeypatch, sine8,
         T=2.0, steps=8))
     assert calls == EVOLVE_CALLS
     assert [r.steps for r in study.rows] == [256, 128, 128, 128]
+
+
+class TestNormMatrixFormedOnce:
+    # The dense M of the M-norms is formed once per evolve call and once per
+    # flow study, not once per block of states or per epsilon and march.
+    def count(self, monkeypatch, fn):
+        """``(fn(), dense M formed, evolve calls)`` on the dense route."""
+        formed, marches = [], []
+        real_form, real_evolve = semigroup._norm_matrix, semigroup.evolve
+
+        def form(M):
+            out = real_form(M)
+            if out is not M:
+                formed.append(M.shape)
+            return out
+
+        def evolve_counting(*args):
+            marches.append(args[0].kind)
+            return real_evolve(*args)
+
+        monkeypatch.setattr(semigroup, "_norm_matrix", form)
+        monkeypatch.setattr(semigroup, "evolve", evolve_counting)
+        result, _ = route(monkeypatch, DENSE, fn)
+        return result, len(formed), len(marches)
+
+    def test_evolve_forms_it_once_for_all_blocks(self, monkeypatch, sine8,
+                                                 A_offdiag_const):
+        gen = build_generator(sine8, A_offdiag_const, 0.5)
+        # four states per block: 17 blocks of norms for 64 steps
+        monkeypatch.setattr(semigroup, "_NORM_BLOCK_ENTRIES", 4 * sine8.dim)
+        cfg = EvolutionConfig(T=1.0, steps=64)
+        traj, formed, marches = self.count(
+            monkeypatch, lambda: semigroup.evolve(gen, random_state(sine8), cfg))
+        assert (formed, marches) == (1, 1)
+        assert_close(traj.step_norms, [gen.m_norm(v) for v in traj.states])
+
+    def test_deviation_study_forms_it_once_per_march_and_once_for_itself(
+            self, monkeypatch, sine8, A_identity):
+        _, formed, marches = self.count(monkeypatch, lambda: semigroup_deviation_study(
+            sine8, A_identity, [1.0, 0.5, 0.25, 0.125], multi_mode(sine8),
+            T=2.0, steps=8))
+        assert marches == len(EVOLVE_CALLS)
+        assert formed == marches + 1
+
+    def test_parabolic_study_forms_it_once_per_march_and_once_for_itself(
+            self, monkeypatch, sine8, A_identity):
+        g = multi_mode(sine8)
+        _, formed, marches = self.count(monkeypatch, lambda: parabolic_convergence(
+            sine8, A_identity, lambda e: (1.0 + e) * g, g, [0.5, 0.25, 0.125],
+            T=1.0, steps=16))
+        assert (formed, marches) == (5, 4)

@@ -10,10 +10,11 @@ each tree, with that tree's own copy of the config.  Then every config in
 ``tools/configs/`` next to this script runs under both trees from that one
 copy; these reach paths that no shipped config does (a time-dependent
 parabolic source, a nonsymmetric sine system, damped Picard solves of the
-arctan reaction, a rate study with a linear reaction).  Last, every config
-of both sets runs again with ``--basis q1``, which reaches the q1 kernels
-(the grid contraction of a 2D coefficient, the nonsymmetric LU route) that
-no config reaches as written; these runs are labelled
+arctan reaction, a rate study with a linear reaction, and the grid
+contraction of a coupling that does not split into x1 and x2 factors).
+Last, every config of both sets runs again with ``--basis q1``, which
+reaches the q1 kernels (the q1 grid contraction, the nonsymmetric LU
+route) that no config reaches as written; these runs are labelled
 ``<config> --basis q1``.  Then every config of both sets runs as
 ``anisolab constants --config <cfg> --out <dir>``, whose standard output
 prints every ledger entry with its formula; these runs are labelled
