@@ -458,6 +458,26 @@ def pencil_eigenbasis(space: GalerkinSpace, direction: int):
     return Q, np.einsum("ij,ij->j", Q, S @ Q)
 
 
+def _direction_eigenbasis(space: GalerkinSpace, direction: int, terms):
+    """``(Q, d)`` with ``Q^T M Q = I`` and ``Q^T A Q = diag(d)`` for the 1D
+    mass ``M`` of one direction and ``A = sum c B`` over ``(c, B)`` in
+    ``terms``: ``pencil_eigenbasis`` itself when every ``B`` is the plain
+    stiffness, else one dense ``eigh`` of ``A`` in that basis."""
+    Q, lam = pencil_eigenbasis(space, direction)
+    S = _plain_factor(space, direction, direction, direction)
+    if all(B is S for _, B in terms):
+        return Q, sum((c * lam for c, _ in terms), np.zeros_like(lam))
+    A = sum(c * _dense(B) for c, B in terms)
+    d, W = np.linalg.eigh(Q.T @ A @ Q)
+    return Q @ W, d
+
+
+def check_epsilon(epsilon: float):
+    """A finite epsilon must lie in (0, 1]."""
+    if not (0.0 < epsilon <= 1.0):
+        raise ValueError(f"epsilon must lie in (0,1], got {epsilon!r}")
+
+
 def _transposed(A, B, tol=1e-12) -> bool:
     """``max|B - A^T| <= tol * max|A|``: ``B`` is ``A^T`` by the relative
     test of ``_is_symmetric``."""
@@ -531,8 +551,7 @@ class AssembledProblem:
         parts = [(1.0, self.K22), (mu, self.M)]
         if epsilon is None:
             return KronOperator.combine(parts, symmetric=True)
-        if not (0.0 < epsilon <= 1.0):
-            raise ValueError(f"epsilon must lie in (0,1], got {epsilon!r}")
+        check_epsilon(epsilon)
         parts = [(epsilon ** 2, self.K11), (epsilon, self.coupling)] + parts
         return KronOperator.combine(parts, symmetric=self.coupling_symmetric)
 
@@ -546,6 +565,31 @@ class AssembledProblem:
     def eigenbasis(self):
         """``(Q1, lam1, Q2, lam2)``: both 1D eigenbases of the space."""
         return pencil_eigenbasis(self.space, 1) + pencil_eigenbasis(self.space, 2)
+
+    @cached_property
+    def two_term_eigenbasis(self):
+        """``(Q1, d1, Q2, d2)`` when the system is two-term, else None.
+
+        Two-term means no coupling, no remainders, every ``K11`` term
+        ``c A (x) M2`` and every ``K22`` term ``c M1 (x) B``, with ``M1`` and
+        ``M2`` the plain 1D masses: then ``K11 = A1 (x) M2`` and
+        ``K22 = M1 (x) A2``, with ``A1`` and ``A2`` the sums of the terms'
+        factors.  Each ``Q`` is M-orthonormal and ``Q^T A Q = diag(d)`` in its
+        direction, so ``operator(eps)`` is ``diag(eps^2 d1_i + d2_j)`` in the
+        basis ``Q1 (x) Q2`` (fast diagonalisation, Lynch, Rice and Thomas
+        1964).  Factors are compared by identity with the per-space plain
+        factors, which every term without a coefficient part shares.
+        """
+        space = self.space
+        if (not self.coupling.is_zero or self.K11.remainders
+                or self.K22.remainders):
+            return None
+        M1, M2 = _plain_factor(space, 1, 0, 0), _plain_factor(space, 2, 0, 0)
+        if (any(B2 is not M2 for _, _, B2 in self.K11.terms)
+                or any(B1 is not M1 for _, B1, _ in self.K22.terms)):
+            return None
+        return (_direction_eigenbasis(space, 1, [t[:2] for t in self.K11.terms])
+                + _direction_eigenbasis(space, 2, [t[::2] for t in self.K22.terms]))
 
     def tensor_preconditioner(self, epsilon: Optional[float] = None,
                               mu: float = 0.0):

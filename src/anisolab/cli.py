@@ -18,6 +18,7 @@ wall-clock timings are therefore never written into report files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
@@ -59,14 +60,13 @@ def _refuse(summary, study, reason):
     summary["refusals"].append({"study": study, "reason": reason})
 
 
-def _run_solve(cfg, problem, outdir, summary):
+def _run_solve(cfg, problem, ledger, out, summary):
     problem = problem.with_epsilon(cfg.study.epsilon)
     space = make_space(cfg, problem.domain)
     system = assemble_system(space, problem.coefficients, problem.source)
     sol = galerkin_solve(problem, space, system, damping=cfg.study.damping)
-    ledger = _ledger(problem)
-    apriori = apriori_check(sol, ledger, problem, system)
-    summary["constants"] = ledger.as_dict()
+    apriori = apriori_check(sol, ledger(), problem, system)
+    summary["constants"] = ledger().as_dict()
     summary["solve"] = {
         **_fields(sol, "final_residual", "picard_iterations"),
         "dim": space.dim, "epsilon": cfg.study.epsilon,
@@ -74,23 +74,22 @@ def _run_solve(cfg, problem, outdir, summary):
                     for c in apriori.checks},
     }
     export = cfg.study.export or "grid.csv"
-    export_solution_csv(sol, outdir / export)
+    export_solution_csv(sol, out(export))
     summary["verdicts"]["residual_contract"] = True
     summary["verdicts"]["apriori_bounds"] = apriori.all_passed
 
 
-def _run_rate(cfg, problem, outdir, summary):
+def _run_rate(cfg, problem, ledger, out, summary):
     space = make_space(cfg, problem.domain)
-    ledger = _ledger(problem)
     study = diagnostics.rate_study(problem, space, list(cfg.study.epsilons),
                                    check_bound=cfg.study.check_bound,
-                                   ledger=ledger)
-    summary["constants"] = ledger.as_dict()
+                                   ledger=ledger())
+    summary["constants"] = ledger().as_dict()
     verdict = ("refused" if study.refusal else
                "pass" if study.bound_verdict else
                "fail" if study.bound_verdict is not None else "unchecked")
     bounds = study.bound or [float("nan")] * len(study.epsilons)
-    write_csv(outdir / "rate.csv", "rate", zip(
+    write_csv(out("rate.csv"), "rate", zip(
         study.epsilons, study.e_x1, study.e_x2, study.e_l2, bounds,
         [verdict] * len(study.epsilons)))
     summary["rate"] = _fields(study, "epsilons", "e_x1", "e_x2", "e_l2",
@@ -116,22 +115,23 @@ def _run_rate(cfg, problem, outdir, summary):
         summary["verdicts"]["rate_mu_shrink"] = bool(mu_study.mu_shrink)
 
 
-def _run_cea(cfg, problem, outdir, summary):
+def _run_cea(cfg, problem, ledger, out, summary):
     spaces = [make_space(cfg, problem.domain, m1=n, m2=n)
               for n in cfg.study.sizes]
-    report = diagnostics.cea_check(spaces, problem, damping=cfg.study.damping)
+    report = diagnostics.cea_check(spaces, problem, damping=cfg.study.damping,
+                                   ledger=ledger())
     summary["constants"] = report.ledger.as_dict()
     rows = [_fields(r, *CSV_COLUMNS["cea"]) for r in report.rows]
-    write_csv(outdir / "cea.csv", "cea", (row.values() for row in rows))
+    write_csv(out("cea.csv"), "cea", (row.values() for row in rows))
     summary["cea"] = {"kind": report.kind, "rows": rows}
     summary["verdicts"]["cea_bound"] = report.all_passed
 
 
-def _run_ap(cfg, problem, outdir, summary):
+def _run_ap(cfg, problem, ledger, out, summary):
     spaces = [make_space(cfg, problem.domain, m1=n, m2=n)
               for n in cfg.study.sizes]
     report = diagnostics.ap_diagram(problem, list(cfg.study.epsilons), spaces)
-    write_csv(outdir / "ap_grid.csv", "ap_grid",
+    write_csv(out("ap_grid.csv"), "ap_grid",
               ((eps, n, report.grid[i, j])
                for i, eps in enumerate(report.epsilons)
                for j, n in enumerate(report.sizes)))
@@ -142,7 +142,7 @@ def _run_ap(cfg, problem, outdir, summary):
     summary["verdicts"]["ap_gap"] = report.gap_ok
 
 
-def _run_dq(cfg, problem, outdir, summary):
+def _run_dq(cfg, problem, ledger, out, summary):
     space = make_space(cfg, problem.domain)
     report = diagnostics.difference_quotient_bound(problem, space)
     summary["constants"] = report.ledger.as_dict()
@@ -151,7 +151,7 @@ def _run_dq(cfg, problem, outdir, summary):
     summary["verdicts"]["dq_bound"] = report.passed
 
 
-def _run_resolvent(cfg, problem, outdir, summary):
+def _run_resolvent(cfg, problem, ledger, out, summary):
     space = make_space(cfg, problem.domain)
     study = semigroup.resolvent_deviation(space, problem.coefficients,
                                           list(cfg.study.epsilons),
@@ -159,23 +159,23 @@ def _run_resolvent(cfg, problem, outdir, summary):
     if study.refusal:
         _refuse(summary, "resolvent", study.refusal)
         return
-    write_csv(outdir / "resolvent.csv", "resolvent",
+    write_csv(out("resolvent.csv"), "resolvent",
               zip(study.epsilons, study.deviations))
     summary["resolvent"] = _fields(study, "epsilons", "deviations", "slope")
     summary["verdicts"]["resolvent_slope_ge_0.95"] = study.slope >= RATE_SLOPE_MIN
 
 
-def _run_semigroup(cfg, problem, outdir, summary):
+def _run_semigroup(cfg, problem, ledger, out, summary):
     space = make_space(cfg, problem.domain)
     g = project(space, problem.source)
     study = semigroup.semigroup_deviation_study(
         space, problem.coefficients, list(cfg.study.epsilons), g,
         cfg.study.T, stepper=cfg.study.stepper, steps=cfg.study.steps,
         yosida_mu=cfg.study.yosida_mu)
-    write_csv(outdir / "deviation_trace.csv", "deviation_trace",
+    write_csv(out("deviation_trace.csv"), "deviation_trace",
               ((eps, t, d) for eps in sorted(study.traces, reverse=True)
                for t, d in zip(*study.traces[eps])))
-    write_csv(outdir / "deviation_summary.csv", "deviation_summary",
+    write_csv(out("deviation_summary.csv"), "deviation_summary",
               ((r.epsilon, r.deviation, study.slope) for r in study.rows))
     summary["semigroup"] = {**_fields(study, "T", "slope"),
                             "rows": [asdict(r) for r in study.rows]}
@@ -184,7 +184,7 @@ def _run_semigroup(cfg, problem, outdir, summary):
     summary["verdicts"]["semigroup_linear_in_T"] = study.linear_in_horizon
 
 
-def _run_parabolic(cfg, problem, outdir, summary):
+def _run_parabolic(cfg, problem, ledger, out, summary):
     space = make_space(cfg, problem.domain)
     u0 = project(space, parse_expression(cfg.study.u0 or cfg.problem.f))
     coeff = cfg.study.u0_eps_coeff
@@ -204,14 +204,14 @@ def _run_parabolic(cfg, problem, outdir, summary):
         space, problem.coefficients, u0_of_eps, u0,
         list(cfg.study.epsilons), cfg.study.T, stepper=cfg.study.stepper,
         steps=cfg.study.steps, source_loads=source_loads, tol=cfg.study.tol)
-    write_csv(outdir / "parabolic.csv", "parabolic", map(astuple, report.rows))
+    write_csv(out("parabolic.csv"), "parabolic", map(astuple, report.rows))
     summary["parabolic"] = asdict(report)
     summary["verdicts"]["parabolic_monotone"] = report.monotone
     summary["verdicts"]["parabolic_below_tol"] = report.final_below_tol
 
 
-def _run_constants(cfg, problem, outdir, summary):
-    table = _ledger(problem).as_dict()
+def _run_constants(cfg, problem, ledger, out, summary):
+    table = ledger().as_dict()
     summary["constants"] = table
     width = max(len(k) for k in table)
     print("constant ledger:")
@@ -234,10 +234,22 @@ _STUDIES = {
 
 
 def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
-    """Execute the study named by the config; returns (summary, exit code)."""
+    """Execute the study named by the config; returns (summary, exit code).
+
+    A runner reads the constant ledger through ``ledger()``, computed once
+    per run, and names each report file through ``out(name)``, which takes
+    the ledger first: a run that ends in a ledger error writes no file and
+    makes no output directory.
+    """
     problem = ProblemSpec(*build_problem_objects(cfg))
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    ledger = functools.cache(lambda: _ledger(problem))
+
+    def out(name: str) -> Path:
+        ledger()
+        outdir.mkdir(parents=True, exist_ok=True)
+        return outdir / name
+
     summary = {
         "study": cfg.study.kind,
         "config": emit_config(cfg),
@@ -245,9 +257,9 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
         "refusals": [],
     }
     try:
-        _STUDIES[cfg.study.kind][1](cfg, problem, outdir, summary)
+        _STUDIES[cfg.study.kind][1](cfg, problem, ledger, out, summary)
         if "constants" not in summary:
-            summary["constants"] = _ledger(problem).as_dict()
+            summary["constants"] = ledger().as_dict()
     except HypothesisNotSatisfied as exc:
         summary["refusals"].append({"study": cfg.study.kind,
                                     "missing": list(exc.missing)})
@@ -258,6 +270,7 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
                         if hasattr(exc, k)})
         summary["failures"] = [failure]
     if "json" in cfg.output.formats:
+        outdir.mkdir(parents=True, exist_ok=True)
         write_summary(outdir / "summary.json", summary)
     if "failures" in summary:
         return summary, 3

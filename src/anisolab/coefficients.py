@@ -470,21 +470,24 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     # sqrt(max((sq + sqrt(max(sq^2 - 4 det^2, 0))) / 2, 0)), in three buffers
     # of the broadcast shape; the outer sqrt is monotone, so it is taken
     # once, of the largest value
+    # (an entry too large to square gives a non-finite sup_matrix, which
+    # validate reports)
     shape = np.broadcast_shapes(*(v.shape for v in vals))
     sq, det, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.square(vals[0], out=sq)
-    for v in vals[1:]:
-        sq += np.square(v, out=tmp)
-    np.multiply(vals[0], vals[3], out=det)
-    det -= np.multiply(vals[1], vals[2], out=tmp)
-    np.square(det, out=det)
-    det *= 4.0
-    np.square(sq, out=tmp)
-    tmp -= det
-    np.sqrt(np.maximum(tmp, 0.0, out=tmp), out=tmp)
-    tmp += sq
-    tmp /= 2.0
-    sup_matrix = float(np.sqrt(np.maximum(tmp, 0.0, out=tmp).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.square(vals[0], out=sq)
+        for v in vals[1:]:
+            sq += np.square(v, out=tmp)
+        np.multiply(vals[0], vals[3], out=det)
+        det -= np.multiply(vals[1], vals[2], out=tmp)
+        np.square(det, out=det)
+        det *= 4.0
+        np.square(sq, out=tmp)
+        tmp -= det
+        np.sqrt(np.maximum(tmp, 0.0, out=tmp), out=tmp)
+        tmp += sq
+        tmp /= 2.0
+        sup_matrix = float(np.sqrt(np.maximum(tmp, 0.0, out=tmp).max()))
 
     def partial_sup(which: str) -> float:
         declared = getattr(A.a12, which)
@@ -499,15 +502,22 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     sup_da12_dx1 = partial_sup("dx1")
     sup_da12_dx2 = partial_sup("dx2")
 
+    # squares by multiplication: a float ``** 2`` raises OverflowError where
+    # the product is inf, which validate reports as a non-finite entry
     c2 = domain.poincare_omega2
-    energy_const = (sup_a21 ** 2 + sup_a11 ** 2) / (2.0 * lam)
-    offdiag_const = (3.0 * (c2 * sup_da12_dx2) ** 2 + 3.0 * sup_a12 ** 2) / lam
-    offdiag_deriv_const = 3.0 * (c2 * sup_da12_dx1) ** 2 / lam
+    energy_const = (sup_a21 * sup_a21 + sup_a11 * sup_a11) / (2.0 * lam)
+    c2_dx2 = c2 * sup_da12_dx2
+    offdiag_const = (3.0 * (c2_dx2 * c2_dx2) + 3.0 * (sup_a12 * sup_a12)) / lam
+    c2_dx1 = c2 * sup_da12_dx1
+    offdiag_deriv_const = 3.0 * (c2_dx1 * c2_dx1) / lam
     rate_const_grad = math.sqrt(4.0 * (energy_const + offdiag_const) / lam)
-    lam_15 = lam ** 1.5  # 0 for a lam below about 1e-216: the entry is then infinite
+    try:
+        lam_15 = lam ** 1.5  # 0 for a lam below about 1e-216: the entry is then infinite
+    except OverflowError:  # lam above about 1e205: lam <= sup_a11 squares to inf
+        lam_15 = math.inf
     rate_const_source = (2.0 * math.sqrt(offdiag_deriv_const) * c2 / lam_15
                          if lam_15 else math.inf)
-    dq_const = c2 ** 2 / lam
+    dq_const = c2 * c2 / lam
     dq_const_statement = c2 / lam
 
     area_sqrt = math.sqrt(domain.area)
@@ -515,9 +525,9 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     M = reaction.growth if reaction is not None else 0.0
 
     cd = domain.poincare_domain
-    cea_limit_sq = (2.0 * M * c2 * (area_sqrt + c2 ** 2 * norm_f / lam)
+    cea_limit_sq = (2.0 * M * c2 * (area_sqrt + c2 * c2 * norm_f / lam)
                     + sup_a22 * 2.0 * c2 * norm_f / lam) / lam
-    cea_pert_sq = (2.0 * M * cd * (area_sqrt + cd ** 2 * norm_f / lam)
+    cea_pert_sq = (2.0 * M * cd * (area_sqrt + cd * cd * norm_f / lam)
                    + sup_matrix * 2.0 * cd * norm_f / lam) / lam
 
     ledger = ConstantLedger(

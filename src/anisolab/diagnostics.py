@@ -190,12 +190,14 @@ def _best_approx_error(G_ref, u_ref_coeffs, E):
 
 def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
               damping: float = 0.5,
-              solver: Optional[SolverConfig] = None) -> CeaReport:
+              solver: Optional[SolverConfig] = None,
+              ledger: Optional[ConstantLedger] = None) -> CeaReport:
     """Galerkin error against best-approximation error on nested spaces.
 
     The reference solution lives on the last space refined once.  Linear
     problems are checked against the quotient constant; a custom reaction
-    is checked against the square-root quasi-optimality bound.
+    is checked against the square-root quasi-optimality bound.  The bounds
+    read ``ledger``, computed here when not given.
     """
     reference_space = spaces[-1].refine(2)
     ref_system = assemble_system(reference_space, problem.coefficients,
@@ -206,8 +208,10 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
                          "limit problem")
     u_ref = galerkin_solve(problem, reference_space, ref_system, solver, damping)
 
-    ledger = coefficients.compute_constants(
-        problem.coefficients, problem.domain, problem.source, problem.reaction)
+    if ledger is None:
+        ledger = coefficients.compute_constants(
+            problem.coefficients, problem.domain, problem.source,
+            problem.reaction)
     if nonlinear:
         kind = "limit-sqrt"
         G_ref = ref_system.G2.tocsr()

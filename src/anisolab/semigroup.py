@@ -5,14 +5,24 @@ studies between the perturbed and limit evolutions.
 The resolvent deviation study is the rate study of the linear Galerkin
 problem with reaction ``mu`` (:func:`anisolab.diagnostics.rate_study`).
 
-The flow itself is never exponentiated: each march builds the linear map of
-one backward Euler, Crank-Nicolson or bounded-operator RK4 step (for
-``u' = mu^2 R_mu u - mu u``) once and applies it once per step, as a dense
+The flow itself is never exponentiated: each march takes one backward
+Euler, Crank-Nicolson or bounded-operator RK4 step (for
+``u' = mu^2 R_mu u - mu u``) per time step.  :func:`evolve` builds the
+linear map of that step once and applies it once per step, as a dense
 propagator while the space is small next to the stored entries of the step's
 system matrix, else through one sparse LU (``linsolve.lu_solver``).
-Deviation studies evolve both generators with the same stepper and step
-count so the stepper bias cancels to first order, and certify the remainder
-by step doubling.
+
+The flow studies (:func:`semigroup_deviation_study`,
+:func:`parabolic_convergence`) choose their route from the assembled system.
+A two-term system (no coupling, ``a11`` of x1 and ``a22`` of x2 alone:
+``AssembledProblem.two_term_eigenbasis``) is marched in its eigenbasis
+``Q1 (x) Q2``, where the mass is the identity and every generator is the
+diagonal ``eps^2 d1_i + d2_j``: a step multiplies each coordinate by the
+stepper's scalar factor (:func:`evolve_diagonal`), and no CSR generator is
+built.  Any other system is marched by :func:`evolve` on the generators of
+:func:`build_generator`.  Deviation studies evolve both generators with the
+same stepper and step count so the stepper bias cancels to first order, and
+certify the remainder by step doubling.
 
 The attribute ``spla`` names ``scipy.sparse.linalg`` without loading it at
 import, only so that the route tests can count the ``splu`` calls.
@@ -29,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (AssembledProblem, _matrix_1d, _plain_factor, _project_1d,
-                       assemble_system, energy_norm)
+                       assemble_system, check_epsilon, energy_norm)
 from .coefficients import (CoefficientField, HypothesisNotSatisfied, ReactionSpec,
                            SourceField, missing_hypotheses)
 from .diagnostics import RATE_SLOPE_MIN, fit_slope, rate_study
@@ -52,6 +62,8 @@ __all__ = [
     "EvolutionConfig",
     "Trajectory",
     "evolve",
+    "DiagonalGenerator",
+    "evolve_diagonal",
     "resolvent_apply",
     "ResolventDeviationStudy",
     "resolvent_deviation",
@@ -200,7 +212,7 @@ def _rk4(L, u, tau: float):
     return u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float):
+def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float, M):
     """``step(u, k)``: the state after step ``k + 1`` from the state ``u``
     before it.
 
@@ -209,6 +221,8 @@ def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float):
     bounded-operator route), plus ``tau A^{-1} F`` for a backward Euler
     source.  Only how these are applied depends on the size: as dense
     matrices formed once, or by ``lu_solver`` back-solves and sparse products.
+    ``M`` is ``gen.M`` as :func:`_norm_matrix` gives it; a dense one serves
+    as the dense ``B = M`` of backward Euler and RK4.
     """
     mu = cfg.yosida_mu
     if cfg.stepper == "be":
@@ -221,7 +235,8 @@ def _step_map(gen: DiscreteGenerator, cfg: EvolutionConfig, tau: float):
     n = A.shape[0]
     if n * n <= _DENSE_STEP_RATIO * A.nnz:
         A = A.toarray()
-        P = np.linalg.solve(A, B.toarray())
+        dense_M = B is gen.M and not sp.issparse(M)
+        P = np.linalg.solve(A, M if dense_M else B.toarray())
         if cfg.stepper == "yosida":
             L = mu * mu * P - mu * np.eye(n)
             P = _rk4(L.__matmul__, np.eye(n), tau)
@@ -265,29 +280,161 @@ def evolve(gen: DiscreteGenerator, g, cfg: EvolutionConfig) -> Trajectory:
         return Trajectory(np.array([0.0]), u[None, :].copy(), np.array([gen.m_norm(u)]))
     tau = cfg.T / cfg.steps
     sample = _sample_indices(cfg, tau)
-    step = _step_map(gen, cfg, tau)
-    slack = _CONTRACTION_SLACK[cfg.stepper]
+    M = _norm_matrix(gen.M)
+    step = _step_map(gen, cfg, tau, M)
     states = np.empty((len(sample), u.size))
     norms = np.empty(cfg.steps + 1)
     rows = max(1, min(cfg.steps + 1, _NORM_BLOCK_ENTRIES // u.size))
     block = np.empty((rows, u.size))
     block[0] = u
-    M = _norm_matrix(gen.M)
     for first in range(0, cfg.steps + 1, rows):
         last = min(first + rows, cfg.steps + 1)  # block holds states first..last-1
         for k in range(max(first, 1), last):
             u = block[k - first] = step(u, k - 1)
         norms[first:last] = _m_norms(M, block[: last - first])
-        lo = max(first, 1)
-        grew = norms[lo:last] > norms[lo - 1:last - 1] * (1.0 + slack)
-        if cfg.source is None and grew.any():
-            k = lo + int(np.argmax(grew))
-            raise ContractionError(
-                f"contraction violated at step {k}: "
-                f"{norms[k]:.16e} > {norms[k - 1]:.16e}")
+        if cfg.source is None:
+            _check_contraction(norms[:last], max(first, 1), cfg.stepper)
         a, b = np.searchsorted(sample, [first, last])
         states[a:b] = block[sample[a:b] - first]
     return Trajectory(sample * tau, states, norms)
+
+
+def _check_contraction(norms, first: int, stepper: str):
+    """:class:`ContractionError` naming the first step from ``first`` on
+    whose norm in ``norms`` (one per step from step 0) grew beyond the
+    stepper's round-off slack."""
+    grew = norms[first:] > norms[first - 1:-1] * (1.0 + _CONTRACTION_SLACK[stepper])
+    if grew.any():
+        k = first + int(np.argmax(grew))
+        raise ContractionError(
+            f"contraction violated at step {k}: "
+            f"{norms[k]:.16e} > {norms[k - 1]:.16e}")
+
+
+@dataclass
+class DiagonalGenerator:
+    """A generator in the eigenbasis of a two-term system, where the mass is
+    the identity and the stiffness is ``diag(d)``."""
+
+    d: np.ndarray
+    kind: str  # "perturbed" | "limit"
+
+
+def _step_factor(d, cfg: EvolutionConfig, tau: float):
+    """The scalar by which one step of ``cfg.stepper`` multiplies each
+    coordinate of a state of the generator ``diag(d)``."""
+    if cfg.stepper == "be":
+        return 1.0 / (1.0 + tau * d)
+    if cfg.stepper == "cn":
+        return (1.0 - 0.5 * tau * d) / (1.0 + 0.5 * tau * d)
+    mu = cfg.yosida_mu
+    L = mu * mu / (mu + d) - mu
+    return _rk4(lambda v: L * v, np.ones_like(d), tau)
+
+
+def evolve_diagonal(gen: DiagonalGenerator, v, cfg: EvolutionConfig) -> Trajectory:
+    """:func:`evolve` of ``diag(gen.d)`` from the coordinates ``v``.
+
+    Each step multiplies the state by the stepper's factor ``r``
+    (:func:`_step_factor`), so without a source the states are one
+    ``np.cumprod`` over the steps, the same sequential product the steps
+    would give; the backward Euler source adds ``tau F`` before each scaling,
+    ``F`` in the coordinates of the loads.  The mass is the identity, so the
+    norms are 2-norms, checked for contraction as :func:`evolve` does.
+    """
+    v = np.array(v, dtype=float)
+    if cfg.T == 0:
+        return Trajectory(np.array([0.0]), v[None, :], np.array([np.linalg.norm(v)]))
+    tau = cfg.T / cfg.steps
+    sample = _sample_indices(cfg, tau)
+    r = _step_factor(gen.d, cfg, tau)
+    states = np.empty((cfg.steps + 1, v.size))
+    states[0] = v
+    if cfg.source is None:
+        states[1:] = r
+        np.cumprod(states, axis=0, out=states)
+    else:
+        for k in range(cfg.steps):
+            states[k + 1] = r * (states[k] + tau * cfg.source((k + 1) * tau))
+    norms = np.linalg.norm(states, axis=1)
+    if cfg.source is None:
+        _check_contraction(norms, 1, cfg.stepper)
+    return Trajectory(sample * tau, states[sample], norms)
+
+
+class _GeneratorFlows:
+    """The flows of any system: :func:`evolve` of the generators of
+    :func:`build_generator`, on coefficient vectors, with M-norms."""
+
+    def __init__(self, space: GalerkinSpace, A: CoefficientField,
+                 system: AssembledProblem):
+        self._args = (space, A)
+        self._system = system
+        self.limit = build_generator(space, A, LIMIT, system)
+        self._M = _norm_matrix(self.limit.M)
+
+    def generator(self, epsilon: float) -> DiscreteGenerator:
+        return build_generator(*self._args, epsilon, self._system)
+
+    @staticmethod
+    def march(gen, v, cfg: EvolutionConfig) -> Trajectory:
+        return evolve(gen, v, cfg)
+
+    @staticmethod
+    def state(u):
+        return u
+
+    load = state
+
+    def norms(self, states) -> np.ndarray:
+        return _m_norms(self._M, states)
+
+    def norm(self, v) -> float:
+        return self.limit.m_norm(v)
+
+
+class _DiagonalFlows:
+    """The flows of a two-term system, marched by :func:`evolve_diagonal` in
+    its eigenbasis ``Q = Q1 (x) Q2``: a coefficient vector ``u`` enters as
+    ``Q^T M u`` and a load ``F`` as ``Q^T F``, and, since ``Q^T M Q = I``,
+    M-norms are 2-norms of the coordinates."""
+
+    def __init__(self, system: AssembledProblem):
+        self._M = system.M
+        self._Q1, d1, self._Q2, d2 = system.two_term_eigenbasis
+        self._d1, self._d2 = d1[:, None], d2[None, :]
+        self.limit = DiagonalGenerator(np.tile(d2, d1.size), "limit")
+
+    def generator(self, epsilon: float) -> DiagonalGenerator:
+        check_epsilon(epsilon)
+        return DiagonalGenerator((epsilon ** 2 * self._d1 + self._d2).ravel(),
+                                 "perturbed")
+
+    @staticmethod
+    def march(gen, v, cfg: EvolutionConfig) -> Trajectory:
+        return evolve_diagonal(gen, v, cfg)
+
+    def state(self, u):
+        return self.load(self._M @ u)
+
+    def load(self, F):
+        F = np.asarray(F, dtype=float).reshape(self._d1.size, self._d2.size)
+        return (self._Q1.T @ F @ self._Q2).ravel()
+
+    @staticmethod
+    def norms(states) -> np.ndarray:
+        return np.linalg.norm(states, axis=1)
+
+    @staticmethod
+    def norm(v) -> float:
+        return float(np.linalg.norm(v))
+
+
+def _flows(space: GalerkinSpace, A: CoefficientField, system: AssembledProblem):
+    """The route of a flow study, chosen from the assembled system."""
+    if system.two_term_eigenbasis is None:
+        return _GeneratorFlows(space, A, system)
+    return _DiagonalFlows(system)
 
 
 def resolvent_apply(gen: DiscreteGenerator, mu: float, f) -> np.ndarray:
@@ -372,16 +519,17 @@ def semigroup_deviation_study(space: GalerkinSpace, A: CoefficientField,
                               max_steps: int = 1 << 15) -> SemigroupDeviationStudy:
     """Sup-in-time deviation between perturbed and limit flows per epsilon.
 
-    The step count is doubled until the step-doubling estimate of the
-    deviation error drops below ``rel_step_tol`` of the deviation itself;
-    the final estimate is recorded as the certified error.
+    A two-term system is marched on the diagonal of its eigenbasis, any
+    other through :func:`build_generator` and :func:`evolve`.  The step
+    count is doubled until the step-doubling estimate of the deviation error
+    drops below ``rel_step_tol`` of the deviation itself; the final estimate
+    is recorded as the certified error.
     """
-    system = assemble_system(space, A)
-    g = np.asarray(g, dtype=float)
-    gen0 = build_generator(space, A, LIMIT, system)
-    M = _norm_matrix(gen0.M)
+    flows = _flows(space, A, assemble_system(space, A))
+    g = flows.state(np.asarray(g, dtype=float))
+    gen0 = flows.limit
     epsilons = list(epsilons)
-    gens = [build_generator(space, A, eps, system) for eps in epsilons]
+    gens = [flows.generator(eps) for eps in epsilons]
     found = {}   # index -> (row, trace)
     prev = {}    # index -> deviation at the previous step count
     active = list(range(len(epsilons)))
@@ -392,8 +540,8 @@ def semigroup_deviation_study(space: GalerkinSpace, A: CoefficientField,
         # limit march.  A trajectory is dropped once its deviations are taken.
         cfg = EvolutionConfig(T=2.0 * T, stepper=stepper, steps=2 * m,
                               yosida_mu=yosida_mu)
-        traj_0 = evolve(gen0, g, cfg)
-        devs_of = [_m_norms(M, evolve(gens[i], g, cfg).states - traj_0.states)
+        traj_0 = flows.march(gen0, g, cfg)
+        devs_of = [flows.norms(flows.march(gens[i], g, cfg).states - traj_0.states)
                    for i in active]
         still = []
         for i, devs in zip(active, devs_of):
@@ -504,22 +652,22 @@ def parabolic_convergence(space: GalerkinSpace, A: CoefficientField,
     source (if any) drives both evolutions through the backward Euler
     inhomogeneous form.  ``source_loads`` is called once per step time, and
     the limit march and every epsilon share its loads.  Epsilons must be
-    given in decreasing order.
+    given in decreasing order.  The route is that of
+    :func:`semigroup_deviation_study`.
     """
-    system = assemble_system(space, A)
+    flows = _flows(space, A, assemble_system(space, A))
+    source = None
     if source_loads is not None:
-        source_loads = functools.lru_cache(maxsize=None)(source_loads)
-    u0_limit = np.asarray(u0_limit, dtype=float)
-    gen0 = build_generator(space, A, LIMIT, system)
-    cfg = EvolutionConfig(T=T, stepper=stepper, steps=steps, source=source_loads)
-    traj0 = evolve(gen0, u0_limit, cfg)
-    M = _norm_matrix(gen0.M)
+        source = functools.lru_cache(maxsize=None)(
+            lambda t: flows.load(source_loads(t)))
+    v0_limit = flows.state(np.asarray(u0_limit, dtype=float))
+    cfg = EvolutionConfig(T=T, stepper=stepper, steps=steps, source=source)
+    traj0 = flows.march(flows.limit, v0_limit, cfg)
     rows = []
     for eps in epsilons:
-        u0 = np.asarray(u0_of_eps(eps), dtype=float)
-        gap = gen0.m_norm(u0 - u0_limit)
-        gen = build_generator(space, A, eps, system)
-        traj = evolve(gen, u0, cfg)
-        sup = float(_m_norms(M, traj.states - traj0.states).max())
+        v0 = flows.state(np.asarray(u0_of_eps(eps), dtype=float))
+        gap = flows.norm(v0 - v0_limit)
+        traj = flows.march(flows.generator(eps), v0, cfg)
+        sup = float(flows.norms(traj.states - traj0.states).max())
         rows.append(ParabolicRow(eps, gap, sup))
     return ParabolicReport(rows, tol)

@@ -174,3 +174,43 @@ def test_extreme_input_ends_in_one_error_line(tmp_path, capsys, cfg_name,
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
     assert not (out / "summary.json").exists()
+
+
+# A coefficient or declared partial whose square overflows: the ledger
+# squares by multiplication, so the entry is inf and validate names it.
+@pytest.mark.parametrize("edits,message", [
+    ({'a11 = "1"': 'a11 = "1e200"'}, "ledger entry sup_matrix is not finite"),
+    ({'a12 = "0"': 'a12 = "0"\na12_dx2 = "1e300"'},
+     "ledger entry offdiag_const is not finite"),
+    ({'a11 = "1"': 'a11 = "1e210"', 'a22 = "1"': 'a22 = "1e210"',
+      "lambda = 1": "lambda = 1e209"},
+     "ledger entry sup_matrix is not finite"),
+])
+def test_overflowing_ledger_entry_ends_in_one_error_line(tmp_path, capsys,
+                                                         edits, message):
+    text = (CONFIG_DIR / "rate_identity.cfg").read_text()
+    for old, new in edits.items():
+        assert text.splitlines().count(old) == 1
+        text = text.replace(old, new)
+    cfg_path = tmp_path / "rate.cfg"
+    cfg_path.write_text(text)
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# The ledger is taken before the output directory is made, also for the
+# studies that report it after their own files.
+@pytest.mark.parametrize("cfg_name", ["rate_identity.cfg", "solve_identity.cfg",
+                                      "semigroup_identity.cfg",
+                                      "parabolic_identity.cfg", "ap_identity.cfg"])
+def test_ledger_error_leaves_no_output_directory(tmp_path, capsys, cfg_name):
+    text = (CONFIG_DIR / cfg_name).read_text()
+    assert text.splitlines().count("lambda = 1") == 1
+    cfg_path = tmp_path / cfg_name
+    cfg_path.write_text(text.replace("lambda = 1", "lambda = 1e-200"))
+    out = tmp_path / "out" / "nested"
+    code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: ledger entry rate_const_grad is not finite\n"
+    assert not (tmp_path / "out").exists()

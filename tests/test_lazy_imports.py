@@ -1,7 +1,8 @@
 """The direct solvers load on first use, from a cold interpreter.
 
-``import anisolab`` and studies that only take CG or a dense propagator load
-none of ``scipy.linalg``, ``scipy.sparse.linalg`` or ``scipy.io``.  Each
+``import anisolab``, studies that only take CG or a dense propagator, and
+two-term flows marched on the diagonal load none of ``scipy.linalg``,
+``scipy.sparse.linalg`` or ``scipy.io``.  Each
 route that does need one imports it at its call site; the script runs every
 such route once, so a call site that lost its import fails with a
 ``NameError``.
@@ -37,6 +38,15 @@ for name in ("rate_identity.cfg", "solve_identity.cfg"):
                                tmp / name)
     assert code == 0, (name, summary)
 assert not loaded(), f"loaded by a CG run: {loaded()}"
+
+# a two-term q1 flow above the splu crossover of evolve is marched on the
+# diagonal of its eigenbasis
+cfg = load_config(shipped_config_dir() / "semigroup_identity.cfg")
+cfg.discretization.basis1 = cfg.discretization.basis2 = "q1"
+cfg.discretization.m1 = cfg.discretization.m2 = 32
+summary, code = run_config(cfg, tmp / "semigroup_q1_32")
+assert code == 0, summary
+assert not loaded(), f"loaded by a two-term flow: {loaded()}"
 
 import numpy as np
 import scipy.sparse as sp

@@ -3,7 +3,10 @@
 Every march takes one of two routes, chosen by ``_DENSE_STEP_RATIO``;
 setting it to infinity forces the dense route and setting it to 0 forces
 the ``splu`` route.  States, norms, study rows and contraction failures must
-not depend on the route beyond round-off.
+not depend on the route beyond round-off.  The flow studies take these
+routes for a system that is not two-term (here ``A_offdiag_const``); a
+two-term system (``A_identity``) is marched by ``evolve_diagonal``, with the
+same schedule of marches.
 """
 
 import math
@@ -202,18 +205,62 @@ def test_parabolic_study_agrees_on_both_routes(monkeypatch, sine8,
                      [b.initial_gap, b.sup_deviation])
 
 
-# (generator kind, step count) of every ``evolve`` call of the study below,
-# as recorded before the dense route existed: step doubling marches the
-# shared limit flow once per round and drops each epsilon once certified.
+def test_coupled_parabolic_study_agrees_on_both_routes(monkeypatch, sine8,
+                                                      A_offdiag_const):
+    # the study above runs A_identity, which is marched on the diagonal
+    g = multi_mode(sine8)
+    load = random_state(sine8, seed=11)
+
+    def study():
+        return parabolic_convergence(
+            sine8, A_offdiag_const, lambda e: (1.0 + e) * g, g, [0.5, 0.25, 0.125],
+            T=1.0, steps=128, source_loads=lambda t: math.exp(-t) * load)
+
+    (dense, dense_lu), (splu, splu_lu) = (route(monkeypatch, DENSE, study),
+                                          route(monkeypatch, SPLU, study))
+    assert (dense_lu, splu_lu) == (0, 4)
+    for a, b in zip(dense.rows, splu.rows):
+        assert a.epsilon == b.epsilon
+        assert_close([a.initial_gap, a.sup_deviation],
+                     [b.initial_gap, b.sup_deviation])
+
+
+# (generator kind, step count) of every ``evolve`` call of the study below
+# on A_identity, as recorded before the dense route existed: step doubling
+# marches the shared limit flow once per round and drops each epsilon once
+# certified.  The diagonal route marches the same schedule.
 EVOLVE_CALLS = (
     [(kind, m) for m in (16, 32, 64, 128, 256)
      for kind in ("limit",) + ("perturbed",) * 4]
     + [("limit", 512), ("perturbed", 512)])
+# the same study on A_offdiag_const, as recorded before the diagonal route
+COUPLED_EVOLVE_CALLS = (
+    [(kind, m) for m in (16, 32, 64, 128, 256)
+     for kind in ("limit",) + ("perturbed",) * 4]
+    + [("limit", 512), ("perturbed", 512), ("perturbed", 512)])
+
+
+def deviation_study(space, A):
+    return semigroup_deviation_study(space, A, [1.0, 0.5, 0.25, 0.125],
+                                     multi_mode(space), T=2.0, steps=8)
+
+
+def counting_marches(monkeypatch, name):
+    """The ``(kind, steps)`` of every call of ``semigroup.<name>`` to come."""
+    calls = []
+    real = getattr(semigroup, name)
+
+    def counting(gen, g0, cfg):
+        calls.append((gen.kind, cfg.steps))
+        return real(gen, g0, cfg)
+
+    monkeypatch.setattr(semigroup, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("ratio", [DENSE, SPLU])
 def test_deviation_study_marches_the_same_steps(monkeypatch, sine8,
-                                                A_identity, ratio):
+                                                A_offdiag_const, ratio):
     calls = []
     real = semigroup.evolve
 
@@ -223,9 +270,20 @@ def test_deviation_study_marches_the_same_steps(monkeypatch, sine8,
 
     monkeypatch.setattr(semigroup, "evolve", counting)
     study, _ = route(monkeypatch, ratio, lambda: semigroup_deviation_study(
-        sine8, A_identity, [1.0, 0.5, 0.25, 0.125], multi_mode(sine8),
+        sine8, A_offdiag_const, [1.0, 0.5, 0.25, 0.125], multi_mode(sine8),
         T=2.0, steps=8))
+    assert calls == COUPLED_EVOLVE_CALLS
+    assert [r.steps for r in study.rows] == [256, 128, 128, 256]
+
+
+@pytest.mark.parametrize("ratio", [DENSE, SPLU])
+def test_diagonal_study_marches_the_same_steps(monkeypatch, sine8, A_identity,
+                                               ratio):
+    calls = counting_marches(monkeypatch, "evolve_diagonal")
+    stepped = counting_marches(monkeypatch, "evolve")
+    study, lu = route(monkeypatch, ratio, lambda: deviation_study(sine8, A_identity))
     assert calls == EVOLVE_CALLS
+    assert (stepped, lu) == ([], 0)
     assert [r.steps for r in study.rows] == [256, 128, 128, 128]
 
 
@@ -263,18 +321,54 @@ class TestNormMatrixFormedOnce:
         assert (formed, marches) == (1, 1)
         assert_close(traj.step_norms, [gen.m_norm(v) for v in traj.states])
 
+    @pytest.mark.parametrize("stepper,mu", [("be", None), ("yosida", 4.0)])
+    def test_evolve_shares_it_with_its_dense_step(self, monkeypatch, sine8,
+                                                  A_offdiag_const, stepper, mu):
+        gen = build_generator(sine8, A_offdiag_const, 0.5)
+        formed = []
+        real = type(gen.M).toarray
+
+        def toarray(self, *args, **kwargs):
+            if self is gen.M:
+                formed.append(self.shape)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(gen.M), "toarray", toarray)
+        cfg = EvolutionConfig(T=1.0, steps=8, stepper=stepper, yosida_mu=mu)
+        route(monkeypatch, DENSE, lambda: evolve(gen, random_state(sine8), cfg))
+        assert len(formed) == 1
+
     def test_deviation_study_forms_it_once_per_march_and_once_for_itself(
-            self, monkeypatch, sine8, A_identity):
+            self, monkeypatch, sine8, A_offdiag_const):
         _, formed, marches = self.count(monkeypatch, lambda: semigroup_deviation_study(
-            sine8, A_identity, [1.0, 0.5, 0.25, 0.125], multi_mode(sine8),
+            sine8, A_offdiag_const, [1.0, 0.5, 0.25, 0.125], multi_mode(sine8),
             T=2.0, steps=8))
-        assert marches == len(EVOLVE_CALLS)
+        assert marches == len(COUPLED_EVOLVE_CALLS)
         assert formed == marches + 1
 
     def test_parabolic_study_forms_it_once_per_march_and_once_for_itself(
-            self, monkeypatch, sine8, A_identity):
+            self, monkeypatch, sine8, A_offdiag_const):
         g = multi_mode(sine8)
+        _, formed, marches = self.count(monkeypatch, lambda: parabolic_convergence(
+            sine8, A_offdiag_const, lambda e: (1.0 + e) * g, g, [0.5, 0.25, 0.125],
+            T=1.0, steps=16))
+        assert (formed, marches) == (5, 4)
+
+    # a two-term system is marched on the diagonal: no dense M, no evolve
+    def test_diagonal_deviation_study_forms_none(self, monkeypatch, sine8,
+                                                 A_identity):
+        diagonal = counting_marches(monkeypatch, "evolve_diagonal")
+        _, formed, marches = self.count(
+            monkeypatch, lambda: deviation_study(sine8, A_identity))
+        assert (formed, marches) == (0, 0)
+        assert diagonal == EVOLVE_CALLS
+
+    def test_diagonal_parabolic_study_forms_none(self, monkeypatch, sine8,
+                                                 A_identity):
+        g = multi_mode(sine8)
+        diagonal = counting_marches(monkeypatch, "evolve_diagonal")
         _, formed, marches = self.count(monkeypatch, lambda: parabolic_convergence(
             sine8, A_identity, lambda e: (1.0 + e) * g, g, [0.5, 0.25, 0.125],
             T=1.0, steps=16))
-        assert (formed, marches) == (5, 4)
+        assert (formed, marches) == (0, 0)
+        assert diagonal == [("limit", 16)] + [("perturbed", 16)] * 3
