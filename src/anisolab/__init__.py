@@ -9,7 +9,7 @@ contraction flows and resolvents.
 
 from .spaces import (TensorDomain, BasisFamily1D, Q1Basis, SineBasis,
                      GalerkinSpace, Quadrature, build_space, eval_basis,
-                     embedding_matrix)
+                     embedding_map, embedding_matrix)
 from .coefficients import (ScalarField, as_field, CoefficientField,
                            ReactionSpec, SourceField, BlockScaling,
                            scale_matrix, ConstantLedger, compute_constants,

@@ -47,15 +47,17 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_values,
                            as_field, grid_values, scale_matrix)
-from .linsolve import _is_symmetric, _max_abs
+from .linsolve import _is_symmetric, _max_abs, issparse, sparse
 from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "bilinear_form",
@@ -146,6 +148,7 @@ class KronOperator:
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
+        sp = sparse()
         pieces = ([sp.csr_matrix(c * sp.kron(sp.csr_matrix(B1), sp.csr_matrix(B2)))
                    for c, B1, B2 in self.terms]
                   + [sp.csr_matrix(s * R) for s, R in self.remainders])
@@ -185,7 +188,7 @@ class KronOperator:
 
 
 def _dense(B):
-    return B.toarray() if sp.issparse(B) else B
+    return B.toarray() if issparse(B) else B
 
 
 def _per_space(fn):
@@ -221,7 +224,7 @@ def _matrix_1d(space: GalerkinSpace, direction: int, test_sel: int, trial_sel: i
 def _as_factor(space: GalerkinSpace, direction: int, B):
     """A 1D factor as stored in a term: CSR (tridiagonal) for a Q1 family."""
     family = space.basis1 if direction == 1 else space.basis2
-    return sp.csr_matrix(B) if isinstance(family, Q1Basis) else B
+    return sparse().csr_matrix(B) if isinstance(family, Q1Basis) else B
 
 
 @_per_space
@@ -298,8 +301,8 @@ def _grid_path(space: GalerkinSpace, coef_values, test_sel: int, trial_sel: int)
         return pairs.reshape(n1, n1, n2, n2).transpose(0, 2, 1, 3).reshape(dim, dim)
     rows = i1[:, None] * n2 + i2[None, :]
     cols = k1[:, None] * n2 + k2[None, :]
-    return sp.csr_matrix((pairs.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(dim, dim))
+    return sparse().csr_matrix((pairs.ravel(), (rows.ravel(), cols.ravel())),
+                               shape=(dim, dim))
 
 
 def _coef_on_grid(space, coef: ScalarField, name: str = "coefficient"):
@@ -412,7 +415,7 @@ def energy_norm(G, v) -> float:
 def mass_1d(family: BasisFamily1D, order: int = 4):
     pts, wts = family.quad_points(order)
     V, _ = family.eval_table(pts)
-    return sp.csr_matrix(V.T @ (wts[:, None] * V))
+    return sparse().csr_matrix(V.T @ (wts[:, None] * V))
 
 
 def stiffness_1d(family: BasisFamily1D, coef=None, order: int = 4):
@@ -420,7 +423,7 @@ def stiffness_1d(family: BasisFamily1D, coef=None, order: int = 4):
     pts, wts = family.quad_points(order)
     _, D = family.eval_table(pts)
     w = wts if coef is None else wts * np.asarray(coef(pts), dtype=float)
-    return sp.csr_matrix(D.T @ (w[:, None] * D))
+    return sparse().csr_matrix(D.T @ (w[:, None] * D))
 
 
 @_per_space
@@ -451,9 +454,7 @@ def pencil_eigenbasis(space: GalerkinSpace, direction: int):
     closed-form eigenvectors; built once per space."""
     family = space.basis1 if direction == 1 else space.basis2
     V = family.pencil_vectors()
-    M, S = (B.toarray() if sp.issparse(B) else B
-            for B in (_plain_factor(space, direction, 0, 0),
-                      _plain_factor(space, direction, direction, direction)))
+    M, S = (_dense(_plain_factor(space, direction, sel, sel)) for sel in (0, direction))
     Q = V / np.sqrt(np.einsum("ij,ij->j", V, M @ V))
     return Q, np.einsum("ij,ij->j", Q, S @ Q)
 
@@ -542,7 +543,7 @@ class AssembledProblem:
             return True
         pieces = [B for term in left.terms for B in term[1:]]
         pieces += [R for _, R in left.remainders]
-        return _is_symmetric(left.tocsr() if any(map(sp.issparse, pieces)) else left)
+        return _is_symmetric(left.tocsr() if any(map(issparse, pieces)) else left)
 
     def operator(self, epsilon: Optional[float] = None,
                  mu: float = 0.0) -> KronOperator:
@@ -626,4 +627,4 @@ def assemble_system(space: GalerkinSpace, A: CoefficientField,
 def write_matrix_market(path, matrix):
     """Dump a matrix in MatrixMarket coordinate format."""
     import scipy.io
-    scipy.io.mmwrite(str(path), sp.coo_matrix(matrix))
+    scipy.io.mmwrite(str(path), sparse().coo_matrix(matrix))

@@ -25,7 +25,7 @@ from .coefficients import (ConstantLedger, HypothesisNotSatisfied, ReactionSpec,
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, galerkin_solve,
                        solve_linear, within_bound)
 from .linsolve import SolverConfig, lu_solver
-from .spaces import GalerkinSpace, embedding_matrix
+from .spaces import GalerkinSpace, embedding_map, embedding_matrix
 
 __all__ = [
     "error_norms",
@@ -282,21 +282,21 @@ def ap_diagram(problem: ProblemSpec, epsilons: Sequence[float],
                          system=ref_system)
     G_ref = ref_system.G2
 
-    def err_against_ref(E, sol):
-        return energy_norm(G_ref, u_ref.coeffs - E @ sol.coeffs)
+    def err_against_ref(embed, sol):
+        return energy_norm(G_ref, u_ref.coeffs - embed(sol.coeffs))
 
     systems = [assemble_system(s, problem.coefficients, problem.source)
                for s in spaces]
-    embeddings = [embedding_matrix(s, reference_space) for s in spaces]
+    embeddings = [embedding_map(s, reference_space) for s in spaces]
     grid = np.zeros((len(epsilons), len(spaces)))
-    for j, (space, system, E) in enumerate(zip(spaces, systems, embeddings)):
+    for j, (space, system, embed) in enumerate(zip(spaces, systems, embeddings)):
         for i, eps in enumerate(epsilons):
             sol = solve_linear(problem.with_epsilon(eps), space, system=system)
-            grid[i, j] = err_against_ref(E, sol)
+            grid[i, j] = err_against_ref(embed, sol)
     col_trace = []
-    for space, system, E in zip(spaces, systems, embeddings):
+    for space, system, embed in zip(spaces, systems, embeddings):
         sol = solve_linear(problem.with_epsilon(LIMIT), space, system=system)
-        col_trace.append(err_against_ref(E, sol))
+        col_trace.append(err_against_ref(embed, sol))
     row_trace = list(grid[:, -1])
     gap = abs(row_trace[-1] - col_trace[-1])
     finest = max(row_trace[-1], col_trace[-1])

@@ -3,18 +3,21 @@ Jacobi or no preconditioner, a dense Cholesky fallback, and an automatic LU
 route for matrices that fail the symmetry check or operators whose own
 verdict says they are not symmetric.
 
-:func:`lu_solver` is the package's one sparse LU.  The direct routes import
-their solvers on first use, ``scipy.sparse.linalg`` for LU and
-``scipy.linalg`` for Cholesky, so a process that only runs CG loads neither.
+:func:`lu_solver` is the package's one sparse LU.  Every scipy module loads
+on first use: ``scipy.sparse`` where the package first builds a sparse
+matrix (:func:`sparse`), ``scipy.sparse.linalg`` for LU and
+``scipy.linalg`` for Cholesky.  So a process that only applies dense or
+factored operators loads no scipy module, and one that only runs CG on
+sparse matrices loads no direct solver.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "SolverConfig",
@@ -72,8 +75,21 @@ class IndefiniteOperatorError(RuntimeError):
                          "retry with SolverConfig(method='dense')")
 
 
+def sparse():
+    """The ``scipy.sparse`` module, imported on the first call."""
+    import scipy.sparse
+    return scipy.sparse
+
+
+def issparse(x) -> bool:
+    """Whether ``x`` is a scipy sparse matrix, without importing scipy: no
+    sparse matrix exists before ``scipy.sparse`` is loaded."""
+    module = sys.modules.get("scipy.sparse")
+    return module is not None and module.issparse(x)
+
+
 def _max_abs(K) -> float:
-    return abs(K).max() if sp.issparse(K) else np.max(np.abs(K))
+    return abs(K).max() if issparse(K) else np.max(np.abs(K))
 
 
 def _is_symmetric(K, tol=1e-12):
@@ -89,7 +105,7 @@ def _is_symmetric(K, tol=1e-12):
 def lu_solver(K) -> Callable[[np.ndarray], np.ndarray]:
     """``b -> K^{-1} b`` by one sparse LU factorisation (``splu``) of ``K``."""
     import scipy.sparse.linalg as spla
-    return spla.splu(sp.csc_matrix(K)).solve
+    return spla.splu(sparse().csc_matrix(K)).solve
 
 
 def _cg(K, b, x0, rel_tol, max_iter, precond, callback):
@@ -148,8 +164,8 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
     if not np.linalg.norm(b):
         return SolveResult(np.zeros(n), 0.0, 0)
 
-    if sp.issparse(K) or isinstance(K, np.ndarray):
-        K = K.tocsr() if sp.issparse(K) else sp.csr_matrix(K)
+    if issparse(K) or isinstance(K, np.ndarray):
+        K = K.tocsr() if issparse(K) else sparse().csr_matrix(K)
     symmetric = getattr(K, "symmetric", None)
     if symmetric is None:
         symmetric = _is_symmetric(K.tocsr())

@@ -32,6 +32,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .linsolve import sparse
+
 __all__ = [
     "TensorDomain",
     "BasisFamily1D",
@@ -41,6 +43,7 @@ __all__ = [
     "Quadrature",
     "build_space",
     "eval_basis",
+    "embedding_map",
     "embedding_matrix",
     "gauss_rule",
 ]
@@ -412,17 +415,34 @@ def eval_basis(space: GalerkinSpace, flat_index: int, point):
     return space.eval_basis(flat_index, x1, x2)
 
 
+def _embedding_factors(coarse: GalerkinSpace, fine: GalerkinSpace):
+    """The dense 1D embeddings ``(E1, E2)`` of both directions; the embedding
+    of the tensor spaces is ``E1 (x) E2``.  Requires both directions to be
+    nested."""
+    if coarse.domain != fine.domain:
+        raise ValueError("spaces live on different domains")
+    return (coarse.basis1.embedding_into(fine.basis1),
+            coarse.basis2.embedding_into(fine.basis2))
+
+
+def embedding_map(coarse: GalerkinSpace, fine: GalerkinSpace):
+    """``c -> E @ c`` for the ``E`` of :func:`embedding_matrix`, applied
+    factored as ``(E1 C E2^T).ravel()`` with ``C`` the coarse coefficients on
+    their ``(i, j)`` grid; no matrix of the tensor spaces is formed."""
+    E1, E2 = _embedding_factors(coarse, fine)
+    shape = (coarse.basis1.dim, coarse.basis2.dim)
+
+    def embed(coeffs):
+        return (E1 @ np.reshape(coeffs, shape) @ E2.T).ravel()
+    return embed
+
+
 def embedding_matrix(coarse: GalerkinSpace, fine: GalerkinSpace):
     """Sparse (CSR) matrix mapping coarse coefficients to fine coefficients.
 
     Requires both directions to be nested; the result ``E`` satisfies
     ``u_coarse(x) == (E @ c)`` interpreted in the fine space.
     """
-    if coarse.domain != fine.domain:
-        raise ValueError("spaces live on different domains")
-    E1 = coarse.basis1.embedding_into(fine.basis1)
-    E2 = coarse.basis2.embedding_into(fine.basis2)
-    # Imported here, not at module load: importing scipy.sparse ahead of the
-    # rest of the package made ``import anisolab`` about 20 ms slower.
-    import scipy.sparse as sp
+    E1, E2 = _embedding_factors(coarse, fine)
+    sp = sparse()
     return sp.kron(sp.csr_matrix(E1), sp.csr_matrix(E2), format="csr")
