@@ -52,8 +52,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_values,
-                           as_field, grid_values, scale_matrix)
-from .linsolve import _is_symmetric, _max_abs, issparse, sparse
+                           as_field, check_epsilon, grid_values, scale_matrix)
+from .linsolve import SYMMETRY_TOL, _is_symmetric, _max_abs, issparse, sparse
 from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis
 
 if TYPE_CHECKING:
@@ -473,16 +473,17 @@ def _direction_eigenbasis(space: GalerkinSpace, direction: int, terms):
     return Q @ W, d
 
 
-def check_epsilon(epsilon: float):
-    """A finite epsilon must lie in (0, 1]."""
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0,1], got {epsilon!r}")
+def _two_term_spectrum(d1, d2, epsilon: Optional[float], mu: float) -> np.ndarray:
+    """``e2 d1_i + d2_j + mu``, ``e2 = epsilon^2`` (0 for LIMIT): the fast
+    diagonalisation spectrum of the 1D spectra ``d1`` and ``d2``."""
+    e2 = 0.0 if epsilon is None else check_epsilon(epsilon) ** 2
+    return e2 * d1[:, None] + d2[None, :] + mu
 
 
-def _transposed(A, B, tol=1e-12) -> bool:
-    """``max|B - A^T| <= tol * max|A|``: ``B`` is ``A^T`` by the relative
-    test of ``_is_symmetric``."""
-    return _max_abs(B - A.T) <= tol * max(_max_abs(A), 1e-300)
+def _transposed(A, B) -> bool:
+    """``max|B - A^T| <= SYMMETRY_TOL max|A|``: ``B`` is ``A^T`` by the
+    relative test of ``_is_symmetric``."""
+    return _max_abs(B - A.T) <= SYMMETRY_TOL * max(_max_abs(A), 1e-300)
 
 
 @dataclass
@@ -597,10 +598,9 @@ class AssembledProblem:
         """Inverse of the identity-coefficient operator
         ``e2 S1(x)M2 + M1(x)S2 + mu M1(x)M2``, ``e2 = epsilon^2`` (0 in the
         limit), as a callable, by fast diagonalisation:
-        ``(Q1(x)Q2) diag(1 / (e2 lam1_i + lam2_j + mu)) (Q1(x)Q2)^T``."""
-        e2 = 0.0 if epsilon is None else epsilon ** 2
+        ``(Q1(x)Q2) diag(1 / _two_term_spectrum) (Q1(x)Q2)^T``."""
         Q1, lam1, Q2, lam2 = self.eigenbasis
-        inv = 1.0 / (e2 * lam1[:, None] + lam2[None, :] + mu)
+        inv = 1.0 / _two_term_spectrum(lam1, lam2, epsilon, mu)
         shape = (lam1.size, lam2.size)
 
         def apply(r):

@@ -2,10 +2,10 @@
 deterministic CSV/JSON reports.  Each ``summary.json`` section is read off
 the study's report object by field name (``_fields``, ``asdict``).
 
-``--epsilon-list``, ``--basis`` and ``--export`` reach the config as
-overrides of ``load_config``, so they pass the config's own checks and a
-fault is reported at the replaced key.  A subcommand then sets the study
-kind; ``_STUDIES`` maps each kind to its subcommand and its runner.
+``--epsilon-list``, ``--basis``, ``--export`` and the study kind of a
+subcommand reach the config as overrides of ``load_config``, so they pass
+the config's own checks and a fault is reported at the replaced key.
+``_STUDIES`` maps each kind to its subcommand and its runner.
 
 Exit codes: 0 when every requested verdict passes, 1 when a verdict fails,
 2 on a structured refusal (missing hypothesis flags), a configuration
@@ -44,11 +44,6 @@ __all__ = ["main", "run_config"]
 _NUMERICAL_FAILURES = (StepperAccuracyError, NonConvergenceError,
                        IndefiniteOperatorError, ContractionError)
 _FAILURE_DIAGNOSTICS = ("required_steps", "iterations", "residual_norm")
-
-
-def _ledger(problem: ProblemSpec):
-    return compute_constants(problem.coefficients, problem.domain,
-                             problem.source, problem.reaction)
 
 
 def _fields(report, *names) -> dict:
@@ -243,7 +238,8 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
     """
     problem = ProblemSpec(*build_problem_objects(cfg))
     outdir = Path(outdir)
-    ledger = functools.cache(lambda: _ledger(problem))
+    ledger = functools.cache(lambda: compute_constants(
+        problem.coefficients, problem.domain, problem.source, problem.reaction))
 
     def out(name: str) -> Path:
         ledger()
@@ -316,25 +312,21 @@ def _epsilon_list(text: str) -> tuple:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {}
+    overrides = {key: value for key, value in (
+        (("study", "kind"), args.kind), (("study", "export"), args.export),
+        (("discretization", "basis1"), args.basis),
+        (("discretization", "basis2"), args.basis)) if value}
     if args.epsilon_list is not None:
         try:
             overrides["study", "epsilons"] = _epsilon_list(args.epsilon_list)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.basis:
-        overrides["discretization", "basis1"] = args.basis
-        overrides["discretization", "basis2"] = args.basis
-    if args.export:
-        overrides["study", "export"] = args.export
     try:
         cfg = load_config(args.config, overrides)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.kind:
-        cfg.study.kind = args.kind
     outdir = args.out or cfg.output.directory
     try:
         summary, code = run_config(cfg, outdir)

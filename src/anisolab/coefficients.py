@@ -190,30 +190,30 @@ def _sample_axes(domain: TensorDomain, n: int):
             np.linspace(domain.omega2[0], domain.omega2[1], n))
 
 
-def _interval_rule(interval, panels: int = 64, order: int = 4):
+def _interval_rule(interval):
     """Composite Gauss rule ``(points, weights)`` of :func:`integrate_on_domain`
-    on one side: ``panels`` equal cells of ``order`` points each."""
+    on one side: 64 equal cells of 4 points each."""
     a, b = interval
-    return _composite_gauss(a, (b - a) / panels, panels, order)
+    return _composite_gauss(a, (b - a) / 64, 64, 4)
 
 
-def integrate_on_domain(domain: TensorDomain, fn, panels: int = 64, order: int = 4):
+def integrate_on_domain(domain: TensorDomain, fn):
     """Composite Gauss integral of ``fn(x1, x2)`` over the rectangle.
 
     Independent of any Galerkin space quadrature; used for reference norms.
     ``fn`` is evaluated along the axes of the Gauss grid (see
     :func:`grid_values`), so it must broadcast its two arguments.
     """
-    p1, w1 = _interval_rule(domain.omega1, panels, order)
-    p2, w2 = _interval_rule(domain.omega2, panels, order)
+    p1, w1 = _interval_rule(domain.omega1)
+    p2, w2 = _interval_rule(domain.omega2)
     # a zero-stride view would take numpy's non-BLAS matmul loop, whose sums
     # round differently from the dense product
     return float(w1 @ np.ascontiguousarray(grid_values(fn, p1, p2)) @ w2)
 
 
-def l2_norm_on_domain(domain: TensorDomain, fn, panels: int = 64, order: int = 4):
-    return math.sqrt(max(integrate_on_domain(domain, lambda a, b: np.asarray(fn(a, b)) ** 2,
-                                             panels, order), 0.0))
+def l2_norm_on_domain(domain: TensorDomain, fn):
+    return math.sqrt(max(integrate_on_domain(domain, lambda a, b: np.asarray(fn(a, b)) ** 2),
+                         0.0))
 
 
 @dataclass
@@ -243,34 +243,31 @@ class CoefficientField:
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
 
-    def validate(self, domain: TensorDomain, grid: int = VALIDATE_GRID,
-                 xi_samples: int = 8, seed: int = 0, tol: float = 1e-10):
+    def validate(self, domain: TensorDomain):
         """Spot-check ellipticity, boundedness, and the a22 structure flag."""
-        x1, x2 = _sample_axes(domain, grid)
+        x1, x2 = _sample_axes(domain, VALIDATE_GRID)
         vals = [grid_values(a, x1, x2) for a in self.entries()]
         for name, v in zip(("a11", "a12", "a21", "a22"), vals):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"coefficient {name} is not finite on the domain")
         for _, message in structure_faults(vals, self.lam,
-                                           self.a22_depends_only_on_x2,
-                                           xi_samples, seed, tol):
+                                           self.a22_depends_only_on_x2):
             raise ValueError(message)
         return True
 
 
-def structure_faults(values, lam: float, a22_depends_only_on_x2: bool,
-                     xi_samples: int = 8, seed: int = 0, tol: float = 1e-10):
+def structure_faults(values, lam: float, a22_depends_only_on_x2: bool):
     """``(entry, message)`` for each failed structure check of the sampled
     coefficients ``values = (a11, a12, a21, a22)``: ellipticity against
-    ``lam`` in ``xi_samples`` random unit directions (entry ``"lam"``), and
-    the declared x2-only ``a22`` (entry ``"a22"``)."""
-    rng = np.random.default_rng(seed)
-    xi = rng.normal(size=(xi_samples, 2))
+    ``lam``, up to 1e-10, in 8 random unit directions of seed 0 (entry
+    ``"lam"``), and the declared x2-only ``a22`` (entry ``"a22"``)."""
+    rng = np.random.default_rng(0)
+    xi = rng.normal(size=(8, 2))
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     a11, a12, a21, a22 = values
     for u, v in xi:
         quad = a11 * u * u + (a12 + a21) * u * v + a22 * v * v
-        if np.min(quad) < lam - tol:
+        if np.min(quad) < lam - 1e-10:
             yield "lam", (f"ellipticity check failed: min A xi.xi = "
                           f"{np.min(quad):.6g} < lam = {lam} for xi = "
                           f"({u:.3f}, {v:.3f})")
@@ -317,8 +314,9 @@ class ReactionSpec:
             return self.mu * s
         return np.asarray(self.fn(s), dtype=float)
 
-    def validate(self, s_max: float = 10.0, samples: int = 401, tol: float = 1e-12):
-        s = np.linspace(-s_max, s_max, samples)
+    def validate(self):
+        tol = 1e-12
+        s = np.linspace(-10.0, 10.0, 401)
         b = self.beta(s)
         b0 = float(self.beta(0.0))
         if abs(b0) > tol:
@@ -359,11 +357,22 @@ class SourceField:
 BlockScaling = namedtuple("BlockScaling", "s11 s12 s21 s22")
 
 
+def check_epsilon(epsilon) -> float:
+    """``epsilon`` as a float, if it lies in (0, 1] and the a-priori bounds,
+    which divide by ``epsilon^2``, stay finite; else a ValueError."""
+    eps = float(epsilon)
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"epsilon must lie in (0,1], got {eps!r}")
+    if not math.isfinite((1.0 / eps) * (1.0 / eps)):
+        raise ValueError(f"epsilon {eps!r} is out of range: "
+                         "(1 / epsilon)^2 must be a finite number")
+    return eps
+
+
 def scale_matrix(A: CoefficientField, epsilon: float) -> BlockScaling:
     """Blockwise multipliers of the perturbed matrix for a given epsilon."""
-    if not (0.0 < epsilon <= 1.0):
-        raise ValueError(f"epsilon must lie in (0,1], got {epsilon!r}")
-    return BlockScaling(epsilon ** 2, epsilon, epsilon, 1.0)
+    eps = check_epsilon(epsilon)
+    return BlockScaling(eps ** 2, eps, eps, 1.0)
 
 
 def _constant(formula, positive=False):

@@ -5,12 +5,12 @@ Each key is declared once, on its ``*Config`` dataclass field: ``_key``
 gives its codec kind in ``_CODECS`` and, for ``lambda``, its file name; the
 key table ``_SCHEMA`` is read from the fields.  The parsed configuration
 round-trips: ``parse_config(emit_config(cfg))`` reproduces ``cfg`` exactly.
-``_validate``, the one semantic check, reads each fact from its owner
-(basis families, ``TensorDomain``, the reactions, the march settings of
-``semigroup``, the Picard damping of ``elliptic``) and reports a fault at
-its key, also in a value the command line puts in its place.  Builders
-turn a configuration into the domain, coefficient, source, reaction, and
-space objects of the library.
+``_validate``, the one semantic check, reads each rule from its owner (basis
+families, ``TensorDomain``, the reactions, ``check_epsilon``, ``semigroup``,
+``check_damping``, ``REFERENCE_REFINEMENT``) and reports a fault at its key,
+also in a value the command line puts in its place.  Builders turn a
+configuration into the domain, coefficient, source, reaction, and space
+objects of the library.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from typing import Optional
 import numpy as np
 
 from .coefficients import (VALIDATE_GRID, CoefficientField, ReactionSpec, SourceField,
-                           _interval_rule, _sample_axes, as_field, grid_values,
-                           structure_faults)
-from .elliptic import damping_fault
+                           _interval_rule, _sample_axes, as_field, check_epsilon,
+                           grid_values, structure_faults)
+from .diagnostics import REFERENCE_REFINEMENT
+from .elliptic import check_damping
 from .expressions import ExpressionError, parse_expression
-from .semigroup import evolution_faults
+from .semigroup import check_resolvent_mu, evolution_faults
 from .spaces import _FAMILIES, GalerkinSpace, TensorDomain, build_space
 
 __all__ = [
@@ -258,33 +259,29 @@ def _validate(cfg: ExperimentConfig, where: dict):
     def error(message, section, attr):
         return ConfigError(message, *where.get((section, attr), (1, 1)))
 
+    def checked(section, attr, check, *args):
+        """``check(*args)``, a ValueError it raises reported at the key."""
+        try:
+            return check(*args)
+        except ValueError as exc:
+            raise error(str(exc), section, attr)
+
     st = cfg.study
     if st.kind not in STUDY_KINDS:
         raise error(f"unknown study kind {st.kind!r}; expected one of "
                     + ", ".join(STUDY_KINDS), "study", "kind")
     for attr, values in (("epsilon", (st.epsilon,)), ("epsilons", st.epsilons)):
         for eps in values:
-            if not (0.0 < eps <= 1.0):
-                raise error(f"epsilon must lie in (0,1], got {eps!r}",
-                            "study", attr)
+            checked("study", attr, check_epsilon, eps)
     for attr, message in evolution_faults(st):
         raise error(message, "study", attr)
-    if st.mu <= 0:
-        raise error("resolvent parameter must be positive", "study", "mu")
-    fault = damping_fault(st.damping)
-    if fault:
-        raise error(fault, "study", "damping")
+    checked("study", "mu", check_resolvent_mu, st.mu)
+    checked("study", "damping", check_damping, st.damping)
     if cfg.problem.beta not in _REACTIONS:
         raise error(f"unknown reaction {cfg.problem.beta!r}", "problem", "beta")
-    try:
-        _REACTIONS[cfg.problem.beta](cfg.problem.mu)
-    except ValueError as exc:
-        raise error(str(exc), "problem", "mu")
+    checked("problem", "mu", _REACTIONS[cfg.problem.beta], cfg.problem.mu)
     for mu in st.mus:  # the reactions of the linear-reaction rate study
-        try:
-            ReactionSpec.linear(mu)
-        except ValueError as exc:
-            raise error(str(exc), "study", "mus")
+        checked("study", "mus", ReactionSpec.linear, mu)
     d = cfg.discretization
     for attr in ("basis1", "basis2"):
         if getattr(d, attr) not in _FAMILIES:
@@ -315,13 +312,11 @@ def _validate(cfg: ExperimentConfig, where: dict):
         if word not in ("csv", "json"):
             raise error(f"unknown output format {word!r}; expected csv or json",
                         "output", "formats")
-    try:
-        domain = TensorDomain(cfg.problem.domain[:2], cfg.problem.domain[2:])
-    except ValueError as exc:
-        raise error(str(exc), "problem", "domain")
+    domain = checked("problem", "domain", TensorDomain,
+                     cfg.problem.domain[:2], cfg.problem.domain[2:])
     # a Cea or AP study nests each size in the last size refined once
     for kind, side in ((d.basis1, domain.omega1), (d.basis2, domain.omega2)):
-        fine = _FAMILIES[kind](side, st.sizes[-1]).refined(2)
+        fine = _FAMILIES[kind](side, st.sizes[-1]).refined(REFERENCE_REFINEMENT)
         for m in st.sizes:
             if not _FAMILIES[kind](side, m).is_nested_in(fine):
                 raise error(f"a {kind} basis of size {m} is not nested in the "

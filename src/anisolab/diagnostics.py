@@ -47,6 +47,7 @@ __all__ = [
 SLOPE_FLOOR = 1e3 * np.finfo(float).eps  # errors below this are quadrature noise
 # Least fitted slope of a deviation against epsilon that passes as first order.
 RATE_SLOPE_MIN = 0.95
+REFERENCE_REFINEMENT = 2  # the reference of cea_check and ap_diagram: the last space refined
 
 
 def error_norms(u_a: GalerkinSolution, u_b: GalerkinSolution):
@@ -75,15 +76,15 @@ def errors_vs_function(space: GalerkinSpace, coeffs, u_fn, du1_fn, du2_fn):
     return quad_norm(1, du1_fn), quad_norm(2, du2_fn), quad_norm(0, u_fn)
 
 
-def fit_slope(epsilons, errors, floor: float = SLOPE_FLOOR) -> float:
+def fit_slope(epsilons, errors) -> float:
     """Least-squares slope of log(error) against log(epsilon).
 
-    Entries below the noise floor are excluded; returns nan with fewer than
+    Entries below ``SLOPE_FLOOR`` are excluded; returns nan with fewer than
     two distinct epsilons among the usable points, where no line is fixed.
     """
     eps = np.asarray(epsilons, dtype=float)
     err = np.asarray(errors, dtype=float)
-    keep = err > floor
+    keep = err > SLOPE_FLOOR
     if len(set(eps[keep])) < 2:
         return float("nan")
     return float(np.polyfit(np.log(eps[keep]), np.log(err[keep]), 1)[0])
@@ -199,7 +200,7 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
     is checked against the square-root quasi-optimality bound.  The bounds
     read ``ledger``, computed here when not given.
     """
-    reference_space = spaces[-1].refine(2)
+    reference_space = spaces[-1].refine(REFERENCE_REFINEMENT)
     ref_system = assemble_system(reference_space, problem.coefficients,
                                  problem.source)
     nonlinear = problem.reaction.kind == "custom"
@@ -275,7 +276,7 @@ def ap_diagram(problem: ProblemSpec, epsilons: Sequence[float],
     missing = missing_hypotheses("ap", problem.coefficients)
     if missing:
         raise HypothesisNotSatisfied(missing)
-    reference_space = spaces[-1].refine(2)
+    reference_space = spaces[-1].refine(REFERENCE_REFINEMENT)
     ref_system = assemble_system(reference_space, problem.coefficients,
                                  problem.source)
     u_ref = solve_linear(problem.with_epsilon(LIMIT), reference_space,

@@ -22,13 +22,14 @@ taken from the underlying theory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .assembly import AssembledProblem, KronOperator, assemble_system, energy_norm
-from .coefficients import CoefficientField, ConstantLedger, ReactionSpec, SourceField
+from .coefficients import (CoefficientField, ConstantLedger, ReactionSpec, SourceField,
+                           check_epsilon)
 from .linsolve import NonConvergenceError, SolverConfig, lu_solver, solve
 from .reports import write_csv
 from .spaces import GalerkinSpace, TensorDomain
@@ -65,22 +66,17 @@ class ProblemSpec:
 
     def __post_init__(self):
         if self.epsilon is not LIMIT:
-            eps = float(self.epsilon)
-            if not (0.0 < eps <= 1.0):
-                raise ValueError(f"epsilon must lie in (0,1], got {eps!r}")
-            self.epsilon = eps
+            self.epsilon = check_epsilon(self.epsilon)
 
     @property
     def is_limit(self) -> bool:
         return self.epsilon is LIMIT
 
     def with_epsilon(self, epsilon) -> "ProblemSpec":
-        return ProblemSpec(self.domain, self.coefficients, self.source,
-                           self.reaction, epsilon)
+        return replace(self, epsilon=epsilon)
 
     def with_reaction(self, reaction) -> "ProblemSpec":
-        return ProblemSpec(self.domain, self.coefficients, self.source,
-                           reaction, self.epsilon)
+        return replace(self, reaction=reaction)
 
 
 @dataclass
@@ -150,9 +146,10 @@ def reaction_load(space: GalerkinSpace, reaction: ReactionSpec, coeffs):
     return space.load(reaction.beta(space.on_grid(coeffs)))
 
 
-def damping_fault(damping: float) -> Optional[str]:
-    """The fault of a Picard damping factor outside (0, 1], else None."""
-    return None if 0.0 < damping <= 1.0 else "damping must lie in (0, 1]"
+def check_damping(damping: float):
+    """A ValueError for a Picard damping factor outside (0, 1]."""
+    if not 0.0 < damping <= 1.0:
+        raise ValueError("damping must lie in (0, 1]")
 
 
 def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
@@ -165,9 +162,7 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
     The load and step of the accepted iterate are kept, so an iteration
     evaluates the reaction once and a halving does not solve again.
     """
-    fault = damping_fault(damping)
-    if fault:
-        raise ValueError(fault)
+    check_damping(damping)
     if problem.reaction.kind != "custom":
         raise ValueError("solve_semilinear expects a custom reaction")
     system, F = _system_and_load(problem, space, system)

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 4000
+# relative tolerance of every symmetry test: max|K - K^T| <= SYMMETRY_TOL max|K|
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class NonConvergenceError(RuntimeError):
             message += f"; {hint}"
         super().__init__(message)
         self.best_x = best_x
-        self.residual_norm = residual_norm
+        self.residual_norm = float(residual_norm)
         self.iterations = iterations
 
 
@@ -92,14 +94,14 @@ def _max_abs(K) -> float:
     return abs(K).max() if issparse(K) else np.max(np.abs(K))
 
 
-def _is_symmetric(K, tol=1e-12):
-    """``max|K - K^T| <= tol * max|K|`` for a sparse or dense matrix, or for
-    an operator that yields its rows in blocks with the same rows of its
+def _is_symmetric(K):
+    """``max|K - K^T| <= SYMMETRY_TOL max|K|`` for a sparse or dense matrix, or
+    for an operator that yields its rows in blocks with the same rows of its
     transpose (``row_blocks``), so that no whole matrix is formed."""
     blocks = K.row_blocks() if hasattr(K, "row_blocks") else ((K, K.T),)
     scales, gaps = zip(*((_max_abs(rows), _max_abs(rows - rows_t))
                          for rows, rows_t in blocks))
-    return np.max(gaps) <= tol * max(np.max(scales), 1e-300)
+    return np.max(gaps) <= SYMMETRY_TOL * max(np.max(scales), 1e-300)
 
 
 def lu_solver(K) -> Callable[[np.ndarray], np.ndarray]:

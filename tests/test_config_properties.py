@@ -158,6 +158,9 @@ def test_malformed_text_fails_only_with_a_positioned_config_error(text):
      "ledger entry rate_const_grad is not finite"),
     ("rate_identity.cfg", {"lambda = 1": "lambda = 1e-250"},
      "ledger entry rate_const_grad is not finite"),
+    ("solve_identity.cfg", {"epsilon = 0.5": "epsilon = 1e-300"},
+     "line 27, column 1: epsilon 1e-300 is out of range: (1 / epsilon)^2 "
+     "must be a finite number"),
 ])
 def test_extreme_input_ends_in_one_error_line(tmp_path, capsys, cfg_name,
                                               edits, message):
