@@ -73,6 +73,7 @@ __all__ = [
     "stiffness_1d",
     "project",
     "pencil_eigenbasis",
+    "fast_diagonal_inverse",
     "KronOperator",
     "AssembledProblem",
     "assemble_system",
@@ -569,22 +570,25 @@ class AssembledProblem:
         return pencil_eigenbasis(self.space, 1) + pencil_eigenbasis(self.space, 2)
 
     @cached_property
-    def two_term_eigenbasis(self):
-        """``(Q1, d1, Q2, d2)`` when the system is two-term, else None.
+    def separable_eigenbasis(self):
+        """``(Q1, d1, Q2, d2)`` of the separable part of the operators, else
+        None.
 
-        Two-term means no coupling, no remainders, every ``K11`` term
-        ``c A (x) M2`` and every ``K22`` term ``c M1 (x) B``, with ``M1`` and
-        ``M2`` the plain 1D masses: then ``K11 = A1 (x) M2`` and
+        The separable part is ``eps^2 K11 + K22 + mu M`` with no remainders,
+        every ``K11`` term ``c A (x) M2`` and every ``K22`` term ``c M1 (x) B``,
+        ``M1`` and ``M2`` the plain 1D masses: then ``K11 = A1 (x) M2`` and
         ``K22 = M1 (x) A2``, with ``A1`` and ``A2`` the sums of the terms'
-        factors.  Each ``Q`` is M-orthonormal and ``Q^T A Q = diag(d)`` in its
-        direction, so ``operator(eps)`` is ``diag(eps^2 d1_i + d2_j)`` in the
-        basis ``Q1 (x) Q2`` (fast diagonalisation, Lynch, Rice and Thomas
-        1964).  Factors are compared by identity with the per-space plain
-        factors, which every term without a coefficient part shares.
+        factors (``a11`` of ``x1`` alone, ``a22`` of ``x2`` alone).  Each
+        ``Q`` is M-orthonormal and ``Q^T A Q = diag(d)`` in its direction, so
+        the separable part is ``diag(eps^2 d1_i + d2_j + mu)`` in the basis
+        ``Q1 (x) Q2`` (fast diagonalisation, Lynch, Rice and Thomas 1964).
+        The coupling ``K12 + K21`` is not part of it.  Factors are compared
+        by identity with the per-space plain factors, which every term
+        without a coefficient part shares; for identity coefficients the
+        bases are those of :attr:`eigenbasis`.
         """
         space = self.space
-        if (not self.coupling.is_zero or self.K11.remainders
-                or self.K22.remainders):
+        if self.K11.remainders or self.K22.remainders:
             return None
         M1, M2 = _plain_factor(space, 1, 0, 0), _plain_factor(space, 2, 0, 0)
         if (any(B2 is not M2 for _, _, B2 in self.K11.terms)
@@ -593,19 +597,39 @@ class AssembledProblem:
         return (_direction_eigenbasis(space, 1, [t[:2] for t in self.K11.terms])
                 + _direction_eigenbasis(space, 2, [t[::2] for t in self.K22.terms]))
 
+    @property
+    def two_term_eigenbasis(self):
+        """:attr:`separable_eigenbasis` when the system is two-term (no
+        coupling, so that ``operator(eps)`` is its separable part), else
+        None."""
+        return self.separable_eigenbasis if self.coupling.is_zero else None
+
     def tensor_preconditioner(self, epsilon: Optional[float] = None,
                               mu: float = 0.0):
-        """Inverse of the identity-coefficient operator
-        ``e2 S1(x)M2 + M1(x)S2 + mu M1(x)M2``, ``e2 = epsilon^2`` (0 in the
-        limit), as a callable, by fast diagonalisation:
-        ``(Q1(x)Q2) diag(1 / _two_term_spectrum) (Q1(x)Q2)^T``."""
-        Q1, lam1, Q2, lam2 = self.eigenbasis
-        inv = 1.0 / _two_term_spectrum(lam1, lam2, epsilon, mu)
-        shape = (lam1.size, lam2.size)
+        """Inverse of the separable part ``eps^2 A1 (x) M2 + M1 (x) A2 + mu M``
+        of ``operator(epsilon, mu)`` (:attr:`separable_eigenbasis`; the
+        coupling is dropped, Concus and Golub 1973), as a callable, by
+        :func:`fast_diagonal_inverse`.  A system without a separable part
+        takes the identity-coefficient operator
+        ``e2 S1(x)M2 + M1(x)S2 + mu M1(x)M2`` (:attr:`eigenbasis`) instead.
+        ``e2 = epsilon^2``, 0 in the limit.  The inverse is exact for a
+        two-term system."""
+        return fast_diagonal_inverse(self.separable_eigenbasis or self.eigenbasis,
+                                     epsilon, mu)
 
-        def apply(r):
-            return (Q1 @ (inv * (Q1.T @ r.reshape(shape) @ Q2)) @ Q2.T).ravel()
-        return apply
+
+def fast_diagonal_inverse(basis, epsilon: Optional[float], mu: float):
+    """``r -> (Q1(x)Q2) diag(1 / _two_term_spectrum) (Q1(x)Q2)^T r`` for
+    ``basis = (Q1, d1, Q2, d2)``: the inverse of
+    ``e2 A1(x)M2 + M1(x)A2 + mu M1(x)M2`` when ``Q^T M Q = I`` and
+    ``Q^T A Q = diag(d)`` in each direction, as a callable."""
+    Q1, d1, Q2, d2 = basis
+    inv = 1.0 / _two_term_spectrum(d1, d2, epsilon, mu)
+    shape = inv.shape
+
+    def apply(r):
+        return (Q1 @ (inv * (Q1.T @ r.reshape(shape) @ Q2)) @ Q2.T).ravel()
+    return apply
 
 
 def assemble_system(space: GalerkinSpace, A: CoefficientField,

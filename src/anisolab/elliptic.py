@@ -13,7 +13,8 @@ custom monotone reaction the fixed point
 
     u  <-  solve(K u = F - B(u_prev)),     damped by theta in (0, 1],
 
-is iterated until ``||K u + B(u) - F|| <= tol ||F||``, where ``B(u)`` is the
+each step solved by the same preconditioned CG as the linear problem, is
+iterated until ``||K u + B(u) - F|| <= tol ||F||``, where ``B(u)`` is the
 load vector of the reaction evaluated pointwise at quadrature nodes (no mass
 lumping).  The damping schedule (halve theta on a residual increase, at most
 six times) is a practical construction of this package, not a prescription
@@ -30,7 +31,7 @@ import numpy as np
 from .assembly import AssembledProblem, KronOperator, assemble_system, energy_norm
 from .coefficients import (CoefficientField, ConstantLedger, ReactionSpec, SourceField,
                            check_epsilon)
-from .linsolve import NonConvergenceError, SolverConfig, lu_solver, solve
+from .linsolve import NonConvergenceError, SolverConfig, solve
 from .reports import write_csv
 from .spaces import GalerkinSpace, TensorDomain
 
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 GALERKIN_RESIDUAL_TOL = 1e-9
+# the inner solve of a Picard step: CG to a relative residual of 1e-14
+PICARD_SOLVER = SolverConfig(rel_tol=1e-14)
 
 
 # epsilon of the reduced problem (formal epsilon -> 0)
@@ -123,10 +126,16 @@ def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
                  system: Optional[AssembledProblem] = None) -> GalerkinSolution:
     """Solve the linear problem (zero or linear reaction) on the space.
 
-    CG is preconditioned by the identity-coefficient operator of the same
-    epsilon and reaction (:meth:`AssembledProblem.tensor_preconditioner`), so
-    its condition number is bounded independently of epsilon and the mesh
-    size: by ``sup_matrix / lam`` without a reaction.
+    CG is preconditioned by the inverse of the separable part of the
+    operator of the same epsilon and reaction
+    (:meth:`AssembledProblem.tensor_preconditioner`): the form of the
+    pointwise matrix ``D = diag(a11, a22)`` when ``a11`` is of ``x1`` alone
+    and ``a22`` of ``x2`` alone, else of ``D = I``.  If
+    ``l xi^T D xi <= xi^T A xi <= L xi^T D xi`` at every point, the
+    condition number is at most ``L / l``, independently of epsilon and the
+    mesh size: 1 (one iteration) for a two-term system, and
+    ``sup_matrix / lam`` for ``D = I`` without a reaction (a reaction ``mu``
+    is inverted exactly, and for the diagonal ``D`` ``l <= 1 <= L``).
     """
     if problem.reaction.kind == "custom":
         raise ValueError("custom reactions require solve_semilinear")
@@ -159,20 +168,28 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
                      initial=None) -> GalerkinSolution:
     """Damped Picard iteration for a custom monotone Lipschitz reaction.
 
-    The load and step of the accepted iterate are kept, so an iteration
-    evaluates the reaction once and a halving does not solve again.
+    Each step solves ``K u = F - B(u_prev)`` on the factored operator ``K``
+    of the problem's epsilon by :func:`picard_step`, CG preconditioned by
+    the inverse of its separable part (exact for a two-term system); no
+    matrix of the space is formed, and residuals are mat-vecs of ``K``.  A
+    nonsymmetric coupling takes the LU route of
+    :func:`anisolab.linsolve.solve`.  The load and step of the accepted
+    iterate are kept, so an iteration evaluates the reaction once and a
+    halving does not solve again.  On non-convergence the hint names a
+    larger damping when the residual never rose (no halving) and the
+    damping is below 1, else a smaller one.
     """
     check_damping(damping)
     if problem.reaction.kind != "custom":
         raise ValueError("solve_semilinear expects a custom reaction")
     system, F = _system_and_load(problem, space, system)
-    K = system.operator(problem.epsilon).tocsr()
-    lu_solve = lu_solver(K)
+    K = system.operator(problem.epsilon)
+    precond = system.tensor_preconditioner(problem.epsilon)
     scale = np.linalg.norm(F) or 1.0
     u = np.zeros(space.dim) if initial is None else np.array(initial, dtype=float)
     load = reaction_load(space, problem.reaction, u)
     res = np.linalg.norm(K @ u + load - F)
-    step = lu_solve(F - load)
+    step = picard_step(K, F - load, precond)
     history = [res]
     theta = damping
     halvings = 0
@@ -190,9 +207,18 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
             return _solution(problem, space, u, picard_iterations=it,
                              final_residual=res / scale,
                              residual_history=history)
-        step = lu_solve(F - load)
+        step = picard_step(K, F - load, precond)
+    # no halving: the residual never rose, so the damping is what stalls it
+    larger = halvings == 0 and damping < 1.0
     raise NonConvergenceError(
-        u, res, max_picard, hint="retry with a smaller damping factor")
+        u, res, max_picard,
+        hint=f"retry with a {'larger' if larger else 'smaller'} damping factor")
+
+
+def picard_step(K, rhs, precond):
+    """``K^{-1} rhs`` as a Picard step solves it: :func:`anisolab.linsolve.solve`
+    with :data:`PICARD_SOLVER` and the preconditioner ``precond``."""
+    return solve(K, rhs, PICARD_SOLVER, precond=precond).x
 
 
 def within_bound(lhs, rhs) -> bool:

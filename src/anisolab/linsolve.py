@@ -14,6 +14,7 @@ sparse matrices loads no direct solver.
 from __future__ import annotations
 
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -110,6 +111,20 @@ def lu_solver(K) -> Callable[[np.ndarray], np.ndarray]:
     return spla.splu(sparse().csc_matrix(K)).solve
 
 
+# operator -> its LU solve: an operator that carries its own symmetry verdict
+# (``KronOperator``) is factorised once however often it is solved, as in
+# the steps of a Picard iteration, and the factor is freed with it
+_OPERATOR_LU = weakref.WeakKeyDictionary()
+
+
+def _lu_of(K) -> Callable[[np.ndarray], np.ndarray]:
+    if not hasattr(K, "symmetric"):
+        return lu_solver(K)
+    if K not in _OPERATOR_LU:
+        _OPERATOR_LU[K] = lu_solver(K.tocsr())
+    return _OPERATOR_LU[K]
+
+
 def _cg(K, b, x0, rel_tol, max_iter, precond, callback):
     n = b.shape[0]
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -172,9 +187,8 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
     if symmetric is None:
         symmetric = _is_symmetric(K.tocsr())
     if not symmetric:
-        Ks = K.tocsr()
-        x = lu_solver(Ks)(b)
-        return SolveResult(x, float(np.linalg.norm(b - Ks @ x)), 0)
+        x = _lu_of(K)(b)
+        return SolveResult(x, float(np.linalg.norm(b - K.tocsr() @ x)), 0)
 
     if cfg.method == "dense":
         if n > DENSE_LIMIT:

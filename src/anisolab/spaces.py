@@ -44,6 +44,7 @@ __all__ = [
     "build_space",
     "eval_basis",
     "embedding_map",
+    "embedding_transpose_map",
     "embedding_matrix",
     "gauss_rule",
 ]
@@ -435,6 +436,18 @@ def embedding_map(coarse: GalerkinSpace, fine: GalerkinSpace):
     def embed(coeffs):
         return (E1 @ np.reshape(coeffs, shape) @ E2.T).ravel()
     return embed
+
+
+def embedding_transpose_map(coarse: GalerkinSpace, fine: GalerkinSpace):
+    """``y -> E^T @ y`` for the ``E`` of :func:`embedding_matrix`, applied
+    factored as ``(E1^T Y E2).ravel()`` with ``Y`` the fine coefficients on
+    their ``(i, j)`` grid."""
+    E1, E2 = _embedding_factors(coarse, fine)
+    shape = (fine.basis1.dim, fine.basis2.dim)
+
+    def restrict(values):
+        return (E1.T @ np.reshape(values, shape) @ E2).ravel()
+    return restrict
 
 
 def embedding_matrix(coarse: GalerkinSpace, fine: GalerkinSpace):

@@ -65,7 +65,7 @@ A = CoefficientField.identity()
 f = SourceField(as_field(lambda x1, x2: np.sin(x1) * np.sin(x2)),
                 grad_x1_in_l2=True, slices_vanish_x1=True)
 
-# Picard: one splu of the linear part
+# Picard: preconditioned CG on the factored operator, no LU
 tanh = ReactionSpec.custom(np.tanh, lipschitz=1.0, growth=1.0)
 sol = solve_semilinear(ProblemSpec(dom, A, f, tanh, 1.0),
                        build_space(dom, "q1", 8, "q1", 8))
@@ -85,7 +85,7 @@ traj = semigroup.evolve(gen, np.ones(sine4.dim),
                         semigroup.EvolutionConfig(T=0.1, steps=4))
 assert traj.step_norms[-1] < traj.step_norms[0]
 
-# Cea check: spsolve of the best approximation
+# Cea check: fast diagonalisation of the coarse Gram matrix, no LU
 report = cea_check([build_space(dom, "sine", m, "sine", m) for m in (2, 4)],
                    ProblemSpec(dom, A, f, ReactionSpec.zero(), LIMIT))
 assert report.all_passed
