@@ -183,6 +183,10 @@ def grid_values(fn, x1, x2) -> np.ndarray:
 
 # points per side of the sample grid of CoefficientField.validate
 VALIDATE_GRID = 33
+# most sample points compute_constants evaluates at once (64 rows of its
+# default 512-point grid): its buffers then stay a fixed size, and larger
+# blocks save little time
+LEDGER_BLOCK_POINTS = 2 ** 15
 
 
 def _sample_axes(domain: TensorDomain, n: int):
@@ -459,22 +463,12 @@ def _axis_values(field: ScalarField, x1, x2) -> np.ndarray:
     return np.asarray(field(a1[:, None], a2[None, :]), dtype=float)
 
 
-def compute_constants(A: CoefficientField, domain: TensorDomain,
-                      f: Optional[SourceField] = None,
-                      reaction: Optional[ReactionSpec] = None,
-                      grid: int = 512) -> ConstantLedger:
-    """Evaluate the full ledger by literal transcription of the formulas.
-
-    Sup-norms are estimated on a ``grid x grid`` sample (including the
-    boundary).  Each field is evaluated on the axes its ``deps`` name and
-    the pointwise quantities are formed by broadcasting, so a constant costs
-    one value.  Partials of a12 must be declared unless a12 is constant in
-    the relevant variable.
-    """
-    lam = A.lam
-    x1, x2 = _sample_axes(domain, grid)
-    vals = [_axis_values(a, x1, x2) for a in A.entries()]
-    sup_a11, sup_a12, sup_a21, sup_a22 = map(_sup_abs, vals)
+def _block_maxima(fields, x1, x2) -> np.ndarray:
+    """The sup-norm of each of ``fields``, whose first four are the entries
+    of ``A``, on the tensor grid of ``x1`` and ``x2``, then the sup of the
+    square of the pointwise spectral norm of ``A``."""
+    sups = [_sup_abs(_axis_values(a, x1, x2)) for a in fields[4:]]
+    vals = [_axis_values(a, x1, x2) for a in fields[:4]]
     # pointwise spectral norm of a 2x2 matrix via its singular values:
     # sqrt(max((sq + sqrt(max(sq^2 - 4 det^2, 0))) / 2, 0)), in three buffers
     # of the broadcast shape; the outer sqrt is monotone, so it is taken
@@ -496,20 +490,43 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
         np.sqrt(np.maximum(tmp, 0.0, out=tmp), out=tmp)
         tmp += sq
         tmp /= 2.0
-        sup_matrix = float(np.sqrt(np.maximum(tmp, 0.0, out=tmp).max()))
+        sup_sq = np.maximum(tmp, 0.0, out=tmp).max()
+    return np.array([*map(_sup_abs, vals), *sups, sup_sq])
 
-    def partial_sup(which: str) -> float:
+
+def compute_constants(A: CoefficientField, domain: TensorDomain,
+                      f: Optional[SourceField] = None,
+                      reaction: Optional[ReactionSpec] = None,
+                      grid: int = 512) -> ConstantLedger:
+    """Evaluate the full ledger by literal transcription of the formulas.
+
+    Sup-norms are estimated on a ``grid x grid`` sample (including the
+    boundary).  Each field is evaluated on the axes its ``deps`` name and
+    the pointwise quantities are formed by broadcasting, so a constant costs
+    one value.  A sample that broadcasts to the full grid is taken in
+    blocks of rows of at most :data:`LEDGER_BLOCK_POINTS` points, each field
+    called once per block; only the block maxima are kept, and their
+    maximum is the sup over the whole grid, bit for bit.  Partials of a12
+    must be declared unless a12 is constant in the relevant variable.
+    """
+    lam = A.lam
+    partials = []
+    for which, var in (("dx1", "x1"), ("dx2", "x2")):
         declared = getattr(A.a12, which)
-        var = "x1" if which == "dx1" else "x2"
-        if declared is not None:
-            return _sup_abs(_axis_values(as_field(declared), x1, x2))
-        if var not in A.a12.deps:
-            return 0.0
-        raise ValueError(
-            f"a12 depends on {var} but no {which} partial was declared")
-
-    sup_da12_dx1 = partial_sup("dx1")
-    sup_da12_dx2 = partial_sup("dx2")
+        if declared is None and var in A.a12.deps:
+            raise ValueError(
+                f"a12 depends on {var} but no {which} partial was declared")
+        partials.append(as_field(0.0 if declared is None else declared))
+    fields = (*A.entries(), *partials)
+    x1, x2 = _sample_axes(domain, grid)
+    full_grid = {"x1", "x2"} <= set().union(*(a.deps for a in fields))
+    rows = max(1, LEDGER_BLOCK_POINTS // grid) if full_grid else grid
+    # np.max propagates a NaN block maximum to validate, where max() may not
+    maxima = np.max([_block_maxima(fields, x1[i:i + rows], x2)
+                     for i in range(0, grid, rows)], axis=0)
+    (sup_a11, sup_a12, sup_a21, sup_a22,
+     sup_da12_dx1, sup_da12_dx2, sup_sq) = maxima.tolist()
+    sup_matrix = math.sqrt(sup_sq)
 
     # squares by multiplication: a float ``** 2`` raises OverflowError where
     # the product is inf, which validate reports as a non-finite entry

@@ -125,10 +125,32 @@ def _lu_of(K) -> Callable[[np.ndarray], np.ndarray]:
     return _OPERATOR_LU[K]
 
 
+# operator -> its diagonal, found positive: an operator that carries its own
+# symmetry verdict has its diagonal formed and checked once however often
+# it is solved, as in the steps of a Picard iteration
+_OPERATOR_DIAGONAL = weakref.WeakKeyDictionary()
+
+
+def _positive_diagonal(K) -> np.ndarray:
+    """The diagonal of ``K``; IndefiniteOperatorError when an entry is not
+    positive, as then ``K`` is not positive definite."""
+    own = hasattr(K, "symmetric")  # a sparse matrix is not hashable
+    diag = _OPERATOR_DIAGONAL.get(K) if own else None
+    if diag is None:
+        diag = K.diagonal()
+        if np.any(diag <= 0):
+            raise IndefiniteOperatorError()
+        if own:
+            _OPERATOR_DIAGONAL[K] = diag
+    return diag
+
+
 def _cg(K, b, x0, rel_tol, max_iter, precond, callback):
-    n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - K @ x
+    if x0 is None:
+        x, r = np.zeros(b.shape[0]), b.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = b - K @ x
     norm_b = np.linalg.norm(b)
     target = rel_tol * norm_b
     best_x, best_res = x.copy(), np.linalg.norm(r)
@@ -204,9 +226,7 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
         def precond(r):
             return r
     else:
-        diag = K.diagonal()
-        if np.any(diag <= 0):
-            raise IndefiniteOperatorError()
+        diag = _positive_diagonal(K)
         if precond is None:
             inv = 1.0 / diag
 

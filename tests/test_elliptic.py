@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anisolab.assembly import assemble_system
+from anisolab.assembly import KronOperator, assemble_system
 from anisolab.coefficients import ReactionSpec, compute_constants
 from anisolab.diagnostics import error_norms
 from anisolab.elliptic import (LIMIT, ProblemSpec, apriori_check,
@@ -102,6 +102,18 @@ class TestSemilinearSolves:
                              - system.F)
         assert res <= 1e-9 * np.linalg.norm(system.F)
         assert sol.picard_iterations < 200
+
+    def test_picard_forms_the_operator_diagonal_once(self, monkeypatch, dom,
+                                                     A_identity, sine8):
+        calls = []
+        diagonal = KronOperator.diagonal
+        monkeypatch.setattr(KronOperator, "diagonal",
+                            lambda K: calls.append(K) or diagonal(K))
+        prob = ProblemSpec(dom, A_identity, mode_source(1, 1),
+                           ReactionSpec.arctan(), LIMIT)
+        sol = solve_semilinear(prob, sine8, damping=0.5)
+        assert sol.picard_iterations > 1
+        assert len(calls) == 1
 
     def test_arctan_matches_independent_diagonal_fixed_point(self, dom,
                                                              A_identity, sine8):

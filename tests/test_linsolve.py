@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisolab import linsolve
-from anisolab.assembly import assemble_system
+from anisolab.assembly import KronOperator, assemble_system
 from anisolab.coefficients import CoefficientField, as_field
 from anisolab.elliptic import ProblemSpec, solve_linear
 from anisolab.linsolve import (IndefiniteOperatorError, NonConvergenceError,
@@ -44,6 +44,40 @@ class TestBasicContracts:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             solve(random_spd(4, 0), np.ones(5))
+
+
+class CountingKron(KronOperator):
+    """A KronOperator that counts its mat-vecs."""
+
+    matvecs = 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return super().__matmul__(x)
+
+
+class TestSolveSetup:
+    def test_zero_start_spends_no_matvec(self):
+        # Jacobi-CG solves a diagonal system in one iteration
+        def counted(x0):
+            K = CountingKron(2, 3, [(1.0, np.diag([1.0, 2.0]),
+                                     np.diag([1.0, 3.0, 5.0]))], symmetric=True)
+            result = solve(K, np.arange(1.0, 7.0), x0=x0)
+            assert result.iterations == 1
+            return result.x, K.matvecs
+
+        x, matvecs = counted(None)
+        x_zero, matvecs_zero = counted(np.zeros(6))
+        assert matvecs == matvecs_zero - 1 == 1
+        assert np.array_equal(x, x_zero)
+
+    @pytest.mark.parametrize("precond", [None, lambda r: r])
+    def test_nonpositive_operator_diagonal_raises_every_call(self, precond):
+        K = KronOperator(2, 2, [(1.0, np.diag([1.0, -1.0]), np.eye(2))],
+                         symmetric=True)
+        for _ in range(2):
+            with pytest.raises(IndefiniteOperatorError):
+                solve(K, np.ones(4), precond=precond)
 
 
 class TestAgainstDenseOracle:
