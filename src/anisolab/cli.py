@@ -17,7 +17,6 @@ wall-clock timings are therefore never written into report files.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from dataclasses import asdict, astuple
@@ -276,6 +275,9 @@ def run_config(cfg: ExperimentConfig, outdir) -> tuple[dict, int]:
 
 
 def _build_parser():
+    # imported here: run_config never parses a command line
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="anisolab",
         description="Studies of anisotropic singularly perturbed problems "

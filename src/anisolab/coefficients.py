@@ -260,16 +260,29 @@ class CoefficientField:
         return True
 
 
+# the unit directions of the ellipticity check: the rows of
+# ``np.random.default_rng(0).normal(size=(8, 2))``, each divided by its norm,
+# written out so that a check does not import ``numpy.random``
+PROBE_DIRECTIONS = (
+    (0.6894137976242853, -0.7243677350940344),
+    (0.9868491083539974, 0.1616441689047899),
+    (-0.8288355951220819, 0.5594922307401815),
+    (0.809114507928309, 0.5876510129829868),
+    (-0.48602461027205623, -0.873945123111226),
+    (-0.9978090697238524, 0.06615935592809416),
+    (-0.9956015322215984, -0.093688788219327),
+    (-0.8621220784405028, -0.5067006235100047),
+)
+
+
 def structure_faults(values, lam: float, a22_depends_only_on_x2: bool):
     """``(entry, message)`` for each failed structure check of the sampled
     coefficients ``values = (a11, a12, a21, a22)``: ellipticity against
-    ``lam``, up to 1e-10, in 8 random unit directions of seed 0 (entry
-    ``"lam"``), and the declared x2-only ``a22`` (entry ``"a22"``)."""
-    rng = np.random.default_rng(0)
-    xi = rng.normal(size=(8, 2))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
+    ``lam``, up to 1e-10, in the 8 fixed unit directions of
+    :data:`PROBE_DIRECTIONS` (entry ``"lam"``), and the declared x2-only
+    ``a22`` (entry ``"a22"``)."""
     a11, a12, a21, a22 = values
-    for u, v in xi:
+    for u, v in PROBE_DIRECTIONS:
         quad = a11 * u * u + (a12 + a21) * u * v + a22 * v * v
         if np.min(quad) < lam - 1e-10:
             yield "lam", (f"ellipticity check failed: min A xi.xi = "
@@ -463,12 +476,17 @@ def _axis_values(field: ScalarField, x1, x2) -> np.ndarray:
     return np.asarray(field(a1[:, None], a2[None, :]), dtype=float)
 
 
-def _block_maxima(fields, x1, x2) -> np.ndarray:
+def _block_maxima(fields, fixed, x1, x2) -> np.ndarray:
     """The sup-norm of each of ``fields``, whose first four are the entries
     of ``A``, on the tensor grid of ``x1`` and ``x2``, then the sup of the
-    square of the pointwise spectral norm of ``A``."""
-    sups = [_sup_abs(_axis_values(a, x1, x2)) for a in fields[4:]]
-    vals = [_axis_values(a, x1, x2) for a in fields[:4]]
+    square of the pointwise spectral norm of ``A``.  ``fixed`` holds, in
+    the place of each field that does not depend on ``x1``, its values on
+    the first row, the same in every block; None elsewhere."""
+    def values(i):
+        return _axis_values(fields[i], x1, x2) if fixed[i] is None else fixed[i]
+
+    sups = [_sup_abs(values(i)) for i in range(4, len(fields))]
+    vals = [values(i) for i in range(4)]
     # pointwise spectral norm of a 2x2 matrix via its singular values:
     # sqrt(max((sq + sqrt(max(sq^2 - 4 det^2, 0))) / 2, 0)), in three buffers
     # of the broadcast shape; the outer sqrt is monotone, so it is taken
@@ -505,9 +523,10 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     the pointwise quantities are formed by broadcasting, so a constant costs
     one value.  A sample that broadcasts to the full grid is taken in
     blocks of rows of at most :data:`LEDGER_BLOCK_POINTS` points, each field
-    called once per block; only the block maxima are kept, and their
-    maximum is the sup over the whole grid, bit for bit.  Partials of a12
-    must be declared unless a12 is constant in the relevant variable.
+    of ``x1`` called once per block and every other field once; only the
+    block maxima are kept, and their maximum is the sup over the whole
+    grid, bit for bit.  Partials of a12 must be declared unless a12 is
+    constant in the relevant variable.
     """
     lam = A.lam
     partials = []
@@ -521,8 +540,9 @@ def compute_constants(A: CoefficientField, domain: TensorDomain,
     x1, x2 = _sample_axes(domain, grid)
     full_grid = {"x1", "x2"} <= set().union(*(a.deps for a in fields))
     rows = max(1, LEDGER_BLOCK_POINTS // grid) if full_grid else grid
+    fixed = [None if "x1" in a.deps else _axis_values(a, x1[:1], x2) for a in fields]
     # np.max propagates a NaN block maximum to validate, where max() may not
-    maxima = np.max([_block_maxima(fields, x1[i:i + rows], x2)
+    maxima = np.max([_block_maxima(fields, fixed, x1[i:i + rows], x2)
                      for i in range(0, grid, rows)], axis=0)
     (sup_a11, sup_a12, sup_a21, sup_a22,
      sup_da12_dx1, sup_da12_dx2, sup_sq) = maxima.tolist()

@@ -416,3 +416,30 @@ class TestHypothesisTable:
             with pytest.raises(HypothesisNotSatisfied) as err:
                 call()
             assert err.value.missing == REQUIRED_HYPOTHESES[study]
+
+
+@pytest.mark.parametrize("grid,calls", [(512, 8), (1024, 32)])
+def test_ledger_evaluates_fields_free_of_x1_once(monkeypatch, dom, grid, calls):
+    """A full-grid ledger calls a field of ``x1`` once per block of rows, and
+    a constant, an ``x2``-only field and the zero stand-in of an undeclared
+    partial once in all."""
+    from anisolab import coefficients
+
+    counts = {}
+    real = coefficients._axis_values
+
+    def counted(field, x1, x2):
+        counts[field.label] = counts.get(field.label, 0) + 1
+        return real(field, x1, x2)
+
+    A = CoefficientField(
+        parse_expression("1 + x1*x2/10"),
+        as_field(parse_expression("0.3*cos(x2)"),
+                 dx2=parse_expression("-0.3*sin(x2)")),
+        0.25, parse_expression("2 - sin(x2)/3"), lam=0.25)
+    monkeypatch.setattr(coefficients, "_axis_values", counted)
+    compute_constants(A, dom, grid=grid)
+    # a constant entry is labelled by its name, the stand-in by its value
+    assert counts == {"1 + x1*x2/10": calls, "0.3*cos(x2)": 1,
+                      "-0.3*sin(x2)": 1, "0.0": 1, "a21": 1,
+                      "2 - sin(x2)/3": 1}

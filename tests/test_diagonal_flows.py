@@ -266,3 +266,30 @@ def test_evolve_diagonal_reports_growth_at_the_step_evolve_does():
             march(gen, v, cfg)
         steps.append(str(err.value).split(":")[0])
     assert steps[0] == steps[1] != "contraction violated at step 1"
+
+
+def test_deviation_study_marches_the_limit_once_per_round(monkeypatch, sine8,
+                                                         A_identity):
+    """``A_identity`` takes the diagonal route: each doubling round marches
+    the limit flow once through ``evolve_diagonal``, at that round's steps."""
+    marches = []
+    real = semigroup.evolve_diagonal
+
+    def count(gen, v, cfg):
+        marches.append((gen.kind, cfg.steps))
+        return real(gen, v, cfg)
+
+    monkeypatch.setattr(semigroup, "evolve_diagonal", count)
+    g = np.zeros(sine8.dim)
+    g[0] = 1.0
+    study = semigroup_deviation_study(sine8, A_identity,
+                                      [2.0 ** -k for k in range(1, 7)], g,
+                                      T=1.0, steps=64)
+    limit = [steps for kind, steps in marches if kind == "limit"]
+    # round k marches [0, 2T] in 2 * 64 * 2^k steps
+    rounds = [2 * 64 * 2 ** k for k in range(len(limit))]
+    assert len(limit) >= 2
+    assert len(set(limit)) == len(limit)
+    assert limit == rounds
+    assert sorted({steps for _, steps in marches}) == rounds
+    assert rounds[-1] == 2 * max(row.steps for row in study.rows)
