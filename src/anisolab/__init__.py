@@ -11,14 +11,12 @@ from .spaces import (TensorDomain, BasisFamily1D, Q1Basis, SineBasis,
                      GalerkinSpace, Quadrature, build_space, eval_basis,
                      embedding_map, embedding_matrix)
 from .coefficients import (ScalarField, as_field, CoefficientField,
-                           ReactionSpec, SourceField, BlockScaling,
-                           scale_matrix, ConstantLedger, compute_constants,
-                           HypothesisNotSatisfied)
+                           ReactionSpec, SourceField, ConstantLedger,
+                           compute_constants, HypothesisNotSatisfied)
 from .assembly import (assemble_block_stiffness, assemble_limit_stiffness,
                        assemble_load, assemble_mass, seminorm_matrices,
-                       assemble_system, AssembledProblem, project,
-                       write_matrix_market)
-from .linsolve import (SolverConfig, SolveResult, NonConvergenceError,
+                       assemble_system, AssembledProblem, project)
+from .linsolve import (SolveResult, NonConvergenceError,
                        IndefiniteOperatorError, solve)
 from .elliptic import (LIMIT, ProblemSpec, GalerkinSolution, galerkin_solve,
                        solve_linear, solve_semilinear, apriori_check, export_solution_csv)

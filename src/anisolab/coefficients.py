@@ -12,7 +12,6 @@ be strictly positive, and ``LEDGER_FORMULAS`` is read from the fields.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Optional
@@ -29,8 +28,6 @@ __all__ = [
     "CoefficientField",
     "ReactionSpec",
     "SourceField",
-    "BlockScaling",
-    "scale_matrix",
     "ConstantLedger",
     "compute_constants",
     "structure_faults",
@@ -260,9 +257,9 @@ class CoefficientField:
         return True
 
 
-# the unit directions of the ellipticity check: the rows of
-# ``np.random.default_rng(0).normal(size=(8, 2))``, each divided by its norm,
-# written out so that a check does not import ``numpy.random``
+# the unit directions of the ellipticity check: the rows of numpy's
+# ``default_rng(0).normal(size=(8, 2))``, each divided by its norm, written
+# out so that a check does not import ``numpy.random``
 PROBE_DIRECTIONS = (
     (0.6894137976242853, -0.7243677350940344),
     (0.9868491083539974, 0.1616441689047899),
@@ -370,10 +367,6 @@ class SourceField:
         return l2_norm_on_domain(domain, self.dx1)
 
 
-# Multipliers applied blockwise during assembly.
-BlockScaling = namedtuple("BlockScaling", "s11 s12 s21 s22")
-
-
 def check_epsilon(epsilon) -> float:
     """``epsilon`` as a float, if it lies in (0, 1] and the a-priori bounds,
     which divide by ``epsilon^2``, stay finite; else a ValueError."""
@@ -384,12 +377,6 @@ def check_epsilon(epsilon) -> float:
         raise ValueError(f"epsilon {eps!r} is out of range: "
                          "(1 / epsilon)^2 must be a finite number")
     return eps
-
-
-def scale_matrix(A: CoefficientField, epsilon: float) -> BlockScaling:
-    """Blockwise multipliers of the perturbed matrix for a given epsilon."""
-    eps = check_epsilon(epsilon)
-    return BlockScaling(eps ** 2, eps, eps, 1.0)
 
 
 def _constant(formula, positive=False):

@@ -25,7 +25,6 @@ from .coefficients import (ConstantLedger, HypothesisNotSatisfied, ReactionSpec,
                            grid_values, missing_hypotheses)
 from .elliptic import (LIMIT, GalerkinSolution, ProblemSpec, galerkin_solve,
                        solve_linear, within_bound)
-from .linsolve import SolverConfig
 from .spaces import GalerkinSpace, embedding_map, embedding_transpose_map
 
 __all__ = [
@@ -204,7 +203,6 @@ def best_approximation(G_ref, u_ref, coarse: GalerkinSpace,
 
 def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
               damping: float = 0.5,
-              solver: Optional[SolverConfig] = None,
               ledger: Optional[ConstantLedger] = None) -> CeaReport:
     """Galerkin error against best-approximation error on nested spaces.
 
@@ -222,7 +220,7 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
     if nonlinear and not problem.is_limit:
         raise ValueError("square-root quasi-optimality check targets the "
                          "limit problem")
-    u_ref = galerkin_solve(problem, reference_space, ref_system, solver, damping)
+    u_ref = galerkin_solve(problem, reference_space, ref_system, damping)
 
     if ledger is None:
         ledger = coefficients.compute_constants(
@@ -245,7 +243,7 @@ def cea_check(spaces: Sequence[GalerkinSpace], problem: ProblemSpec,
     rows = []
     for space in spaces:
         embed = embedding_map(space, reference_space)
-        u_v = galerkin_solve(problem, space, solver=solver, damping=damping)
+        u_v = galerkin_solve(problem, space, damping=damping)
         gal_err = energy_norm(G_ref, u_ref.coeffs - embed(u_v.coeffs))
         best = best_approximation(G_ref, u_ref.coeffs, space, reference_space,
                                   gram_epsilon)

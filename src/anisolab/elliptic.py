@@ -31,7 +31,7 @@ import numpy as np
 from .assembly import AssembledProblem, KronOperator, assemble_system, energy_norm
 from .coefficients import (CoefficientField, ConstantLedger, ReactionSpec, SourceField,
                            check_epsilon)
-from .linsolve import NonConvergenceError, SolverConfig, solve
+from .linsolve import NonConvergenceError, solve
 from .reports import write_csv
 from .spaces import GalerkinSpace, TensorDomain
 
@@ -50,7 +50,7 @@ __all__ = [
 
 GALERKIN_RESIDUAL_TOL = 1e-9
 # the inner solve of a Picard step: CG to a relative residual of 1e-14
-PICARD_SOLVER = SolverConfig(rel_tol=1e-14)
+PICARD_REL_TOL = 1e-14
 
 
 # epsilon of the reduced problem (formal epsilon -> 0)
@@ -112,17 +112,15 @@ def _solution(problem: ProblemSpec, space: GalerkinSpace, coeffs, **extra):
 
 def galerkin_solve(problem: ProblemSpec, space: GalerkinSpace,
                    system: Optional[AssembledProblem] = None,
-                   solver: Optional[SolverConfig] = None,
                    damping: float = 1.0) -> GalerkinSolution:
     """Damped Picard (:func:`solve_semilinear`) for a custom reaction, else
-    preconditioned CG (:func:`solve_linear`) with the solver configuration."""
+    preconditioned CG (:func:`solve_linear`)."""
     if problem.reaction.kind == "custom":
         return solve_semilinear(problem, space, damping=damping, system=system)
-    return solve_linear(problem, space, solver, system)
+    return solve_linear(problem, space, system)
 
 
 def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
-                 solver: Optional[SolverConfig] = None,
                  system: Optional[AssembledProblem] = None) -> GalerkinSolution:
     """Solve the linear problem (zero or linear reaction) on the space.
 
@@ -141,7 +139,7 @@ def solve_linear(problem: ProblemSpec, space: GalerkinSpace,
         raise ValueError("custom reactions require solve_semilinear")
     system, F = _system_and_load(problem, space, system)
     eps, mu = problem.epsilon, problem.reaction.mu
-    result = solve(system.operator(eps, mu), F, solver,
+    result = solve(system.operator(eps, mu), F,
                    precond=system.tensor_preconditioner(eps, mu))
     norm_f = np.linalg.norm(F)
     rel = result.residual_norm / norm_f if norm_f else 0.0
@@ -217,8 +215,9 @@ def solve_semilinear(problem: ProblemSpec, space: GalerkinSpace,
 
 def picard_step(K, rhs, precond):
     """``K^{-1} rhs`` as a Picard step solves it: :func:`anisolab.linsolve.solve`
-    with :data:`PICARD_SOLVER` and the preconditioner ``precond``."""
-    return solve(K, rhs, PICARD_SOLVER, precond=precond).x
+    to the relative tolerance :data:`PICARD_REL_TOL` with the preconditioner
+    ``precond``."""
+    return solve(K, rhs, rel_tol=PICARD_REL_TOL, precond=precond).x
 
 
 def within_bound(lhs, rhs) -> bool:

@@ -1,27 +1,23 @@
-"""Sparse symmetric positive-definite solves: CG with a caller-supplied,
-Jacobi or no preconditioner, a dense Cholesky fallback, and an automatic LU
-route for matrices that fail the symmetry check or operators whose own
-verdict says they are not symmetric.
+"""Sparse symmetric positive-definite solves: CG with a caller-supplied or
+Jacobi preconditioner, and an automatic LU route for matrices that fail the
+symmetry check or operators whose own verdict says they are not symmetric.
 
 :func:`lu_solver` is the package's one sparse LU.  Every scipy module loads
 on first use: ``scipy.sparse`` where the package first builds a sparse
-matrix (:func:`sparse`), ``scipy.sparse.linalg`` for LU and
-``scipy.linalg`` for Cholesky.  So a process that only applies dense or
-factored operators loads no scipy module, and one that only runs CG on
-sparse matrices loads no direct solver.
+matrix (:func:`sparse`) and ``scipy.sparse.linalg`` for LU.  So a process
+that only applies dense or factored operators loads no scipy module, and
+one that only runs CG on sparse matrices loads no direct solver.
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = [
-    "SolverConfig",
     "SolveResult",
     "NonConvergenceError",
     "IndefiniteOperatorError",
@@ -29,25 +25,8 @@ __all__ = [
     "solve",
 ]
 
-DENSE_LIMIT = 4000
 # relative tolerance of every symmetry test: max|K - K^T| <= SYMMETRY_TOL max|K|
 SYMMETRY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    method: str = "cg"  # "cg" | "dense"
-    preconditioner: str = "jacobi"  # "none" | "jacobi"; unless solve gets precond
-    rel_tol: float = 1e-10
-    max_iter: Optional[int] = None  # default 20 * n
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.method not in ("cg", "dense"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.preconditioner not in ("none", "jacobi"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 class SolveResult(NamedTuple):
@@ -71,11 +50,10 @@ class NonConvergenceError(RuntimeError):
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """CG detected a nonpositive curvature direction (matrix not SPD)."""
+    """A nonpositive diagonal entry or CG curvature: the operator is not SPD."""
 
     def __init__(self):
-        super().__init__("CG breakdown: operator is not positive definite; "
-                         "retry with SolverConfig(method='dense')")
+        super().__init__("operator is not positive definite")
 
 
 def sparse():
@@ -107,8 +85,8 @@ def _is_symmetric(K):
 
 def lu_solver(K) -> Callable[[np.ndarray], np.ndarray]:
     """``b -> K^{-1} b`` by one sparse LU factorisation (``splu``) of ``K``."""
-    import scipy.sparse.linalg as spla
-    return spla.splu(sparse().csc_matrix(K)).solve
+    import scipy.sparse.linalg
+    return scipy.sparse.linalg.splu(sparse().csc_matrix(K)).solve
 
 
 # operator -> its LU solve: an operator that carries its own symmetry verdict
@@ -181,21 +159,22 @@ def _cg(K, b, x0, rel_tol, max_iter, precond, callback):
     raise NonConvergenceError(best_x, best_res, max_iter)
 
 
-def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
+def solve(K, rhs, *, rel_tol: float = 1e-10, x0=None,
           callback: Optional[Callable] = None,
           precond: Optional[Callable] = None) -> SolveResult:
-    """Solve ``K x = rhs``; deterministic given the configuration.
+    """Solve ``K x = rhs``; deterministic given its arguments.
 
     ``K`` is a sparse or dense matrix, or an operator with ``@``,
-    ``.shape``, ``.diagonal()``, ``.tocsr()``, ``.toarray()`` and a
-    ``symmetric`` verdict (``assembly.KronOperator``); a verdict other
-    than None replaces the numeric symmetry check.  Returns the solution,
-    the true residual norm, and the iteration count (0 for direct
-    methods).  Nonsymmetric inputs are routed to sparse LU.  ``precond``,
-    an SPD map ``r -> P^-1 r``, replaces the preconditioner named in
-    ``cfg`` for CG.
+    ``.shape``, ``.diagonal()``, ``.tocsr()`` and a ``symmetric`` verdict
+    (``assembly.KronOperator``); a verdict other than None replaces the
+    numeric symmetry check.  Returns the solution, the true residual norm,
+    and the iteration count (0 for LU).  Nonsymmetric inputs are routed to
+    sparse LU; symmetric ones to CG, to a residual of ``rel_tol ||rhs||``
+    in at most ``20 n`` iterations, preconditioned by ``precond``, an SPD
+    map ``r -> P^-1 r``, or else by the inverse diagonal (Jacobi).
     """
-    cfg = cfg or SolverConfig()
+    if rel_tol <= 0:
+        raise ValueError("rel_tol must be positive")
     b = np.asarray(rhs, dtype=float)
     n = b.shape[0]
     if K.shape != (n, n):
@@ -212,25 +191,11 @@ def solve(K, rhs, cfg: Optional[SolverConfig] = None, x0=None,
         x = _lu_of(K)(b)
         return SolveResult(x, float(np.linalg.norm(b - K.tocsr() @ x)), 0)
 
-    if cfg.method == "dense":
-        if n > DENSE_LIMIT:
-            raise ValueError(f"dense Cholesky limited to n <= {DENSE_LIMIT}, got {n}")
-        import scipy.linalg
-        dense = K.toarray()
-        c, low = scipy.linalg.cho_factor(dense)
-        x = scipy.linalg.cho_solve((c, low), b)
-        return SolveResult(x, float(np.linalg.norm(b - dense @ x)), 0)
+    diag = _positive_diagonal(K)
+    if precond is None:
+        inv = 1.0 / diag
 
-    max_iter = cfg.max_iter if cfg.max_iter is not None else 20 * n
-    if precond is None and cfg.preconditioner == "none":
         def precond(r):
-            return r
-    else:
-        diag = _positive_diagonal(K)
-        if precond is None:
-            inv = 1.0 / diag
+            return inv * r
 
-            def precond(r):
-                return inv * r
-
-    return _cg(K, b, x0, cfg.rel_tol, max_iter, precond, callback)
+    return _cg(K, b, x0, rel_tol, 20 * n, precond, callback)

@@ -23,9 +23,6 @@ built.  Any other system is marched by :func:`evolve` on the generators of
 :func:`build_generator`.  Deviation studies evolve both generators with the
 same stepper and step count so the stepper bias cancels to first order, and
 certify the remainder by step doubling, whose estimate is not a bound.
-
-The attribute ``spla`` names ``scipy.sparse.linalg`` without loading it at
-import, only so that the route tests can count the ``splu`` calls.
 """
 
 from __future__ import annotations
@@ -48,14 +45,6 @@ from .spaces import GalerkinSpace
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
-
-
-def __getattr__(name):
-    # ``spla`` resolves on first access; only the route tests read it
-    if name == "spla":
-        import scipy.sparse.linalg
-        return scipy.sparse.linalg
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [
@@ -108,18 +97,6 @@ class DiscreteGenerator:
 
     def m_norm(self, v) -> float:
         return energy_norm(self.M, v)
-
-    def dissipativity_gap(self) -> float:
-        """Smallest Rayleigh quotient v'Kv / v'Mv over probe vectors.
-
-        Nonnegative for a dissipative generator (K positive semidefinite).
-        """
-        rng = np.random.default_rng(1234)
-        worst = np.inf
-        for _ in range(16):
-            v = rng.normal(size=self.dim)
-            worst = min(worst, float(v @ (self.K @ v)) / float(v @ (self.M @ v)))
-        return worst
 
 
 def build_generator(space: GalerkinSpace, A: CoefficientField, epsilon,

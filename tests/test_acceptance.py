@@ -17,7 +17,6 @@ from anisolab.diagnostics import (ap_diagram, cea_check,
                                   errors_vs_function, rate_study)
 from anisolab.elliptic import (LIMIT, ProblemSpec, apriori_check, solve_linear,
                                solve_semilinear)
-from anisolab.linsolve import SolverConfig
 from anisolab.semigroup import (EvolutionConfig, build_generator, evolve,
                                 resolvent_apply, semigroup_deviation_study,
                                 tensor_semigroup_oracle_check)
@@ -125,7 +124,7 @@ def test_criterion_04_cea_checks(dom):
     prob = ProblemSpec(dom, CoefficientField.identity(), rich,
                        ReactionSpec.zero(), LIMIT)
     spaces = [build_space(dom, "sine", m, "sine", m) for m in (2, 4)]
-    rep_a = cea_check(spaces, prob, solver=SolverConfig(rel_tol=1e-13))
+    rep_a = cea_check(spaces, prob)
     gap_a = max(abs(r.galerkin_error - r.best_error) for r in rep_a.rows)
     ok_a = gap_a <= 1e-10
 

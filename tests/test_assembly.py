@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
@@ -12,7 +11,7 @@ from anisolab.assembly import (assemble_block_stiffness, assemble_limit_stiffnes
                                assemble_load, assemble_mass,
                                assemble_scaled_stiffness, assemble_system,
                                mass_1d, project, seminorm_matrices,
-                               stiffness_1d, write_matrix_market)
+                               stiffness_1d)
 from anisolab.coefficients import CoefficientField, ScalarField, as_field
 from anisolab.expressions import parse_expression
 from anisolab.spaces import build_space
@@ -66,6 +65,33 @@ class TestReassemblyIdentity:
             combo = system.stiffness(eps)
             scale = abs(combo).max()
             assert abs(direct - combo).max() < 1e-12 * scale
+
+
+class TestScaledStiffness:
+    # the direct assembly weights the blocks 11, 12, 21, 22 by eps^2, eps, eps, 1
+    def test_unperturbed(self, sine8, A_identity):
+        K = assemble_scaled_stiffness(sine8, A_identity, 1.0)
+        e = np.zeros(64)
+        e[0] = 1.0
+        assert e @ (K @ e) == pytest.approx(2.0, abs=1e-13)
+
+    def test_half(self, sine8, A_identity):
+        # unit energy of the first mode in each direction: 0.25 * 1 + 1
+        K = assemble_scaled_stiffness(sine8, A_identity, 0.5)
+        e = np.zeros(64)
+        e[0] = 1.0
+        assert e @ (K @ e) == pytest.approx(1.25, abs=1e-13)
+
+    def test_block_limit(self, sine8, A_offdiag_variable):
+        # as eps -> 0 only the second-direction block survives
+        K = assemble_scaled_stiffness(sine8, A_offdiag_variable, 1e-8)
+        K22 = assemble_block_stiffness(sine8, A_offdiag_variable, "22")
+        assert abs(K - K22).max() < 1e-7 * abs(K22).max()
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, 2.0])
+    def test_rejects_out_of_range(self, sine8, A_identity, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            assemble_scaled_stiffness(sine8, A_identity, eps)
 
 
 class TestLimitStiffness:
@@ -235,11 +261,3 @@ class TestIndependentOracle:
                                            epsabs=1e-13, epsrel=1e-13)
         assert K12[row, col] == pytest.approx(ref, rel=1e-10, abs=1e-12)
 
-
-class TestMatrixMarket:
-    def test_round_trip(self, tmp_path, sine8, A_identity):
-        K = assemble_limit_stiffness(sine8, A_identity)
-        path = tmp_path / "k22.mtx"
-        write_matrix_market(path, K)
-        back = scipy.io.mmread(path)
-        assert abs(sp.csr_matrix(back) - K).max() < 1e-14

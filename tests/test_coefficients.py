@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from anisolab.coefficients import (LEDGER_FORMULAS, CoefficientField,
                                    ReactionSpec, as_field, compute_constants,
-                                   grid_values, integrate_on_domain,
-                                   scale_matrix)
+                                   grid_values, integrate_on_domain)
 from anisolab.expressions import parse_expression
 
 PI = math.pi
@@ -38,24 +37,6 @@ def _meshgrid_values(fn, x1, x2):
     X1, X2 = np.meshgrid(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float),
                          indexing="ij")
     return np.broadcast_to(np.asarray(fn(X1, X2), dtype=float), X1.shape)
-
-
-class TestScaleMatrix:
-    def test_unperturbed(self, A_identity):
-        assert tuple(scale_matrix(A_identity, 1.0)) == (1.0, 1.0, 1.0, 1.0)
-
-    def test_half(self, A_identity):
-        assert tuple(scale_matrix(A_identity, 0.5)) == (0.25, 0.5, 0.5, 1.0)
-
-    def test_block_limit(self, A_identity):
-        # as eps -> 0 only the second-direction block survives
-        s = scale_matrix(A_identity, 1e-8)
-        assert s.s11 < 1e-15 and s.s12 < 1e-7 and s.s22 == 1.0
-
-    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5, 2.0])
-    def test_rejects_out_of_range(self, A_identity, eps):
-        with pytest.raises(ValueError, match="epsilon"):
-            scale_matrix(A_identity, eps)
 
 
 class TestComputeConstants:

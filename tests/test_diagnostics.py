@@ -121,7 +121,6 @@ class TestRateStudy:
         import threading
 
         import anisolab.diagnostics as diagnostics
-        monkeypatch.setenv("ANISO_THREADS", "4")
         calls = []
         original = diagnostics.solve_linear
 
@@ -133,6 +132,7 @@ class TestRateStudy:
         prob = zero_reaction_problem(dom, A_identity, f_mode11)
         rate_study(prob, sine8, EPS_LIST[:4], check_bound=False)
         assert [eps for eps, _ in calls] == [LIMIT] + EPS_LIST[:4]
+        assert all(thread is threading.current_thread() for _, thread in calls)
         assert all(t is threading.main_thread() for _, t in calls)
 
 

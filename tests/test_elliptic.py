@@ -9,7 +9,7 @@ from anisolab.diagnostics import error_norms
 from anisolab.elliptic import (LIMIT, ProblemSpec, apriori_check,
                                galerkin_solve, solve_linear, solve_semilinear,
                                within_bound)
-from anisolab.linsolve import NonConvergenceError, SolverConfig
+from anisolab.linsolve import NonConvergenceError
 from conftest import mode_source
 
 PI = math.pi
@@ -251,12 +251,11 @@ class TestGalerkinSolve:
 
     @pytest.mark.parametrize("reaction", [ReactionSpec.zero(),
                                           ReactionSpec.linear(2.0)])
-    def test_linear_reaction_takes_the_solver_config(self, dom, A_identity,
-                                                     f_mode11, sine8, reaction):
+    def test_linear_reaction_takes_solve_linear(self, dom, A_identity,
+                                                f_mode11, sine8, reaction):
         prob = ProblemSpec(dom, A_identity, f_mode11, reaction, 0.5)
-        dense = SolverConfig(method="dense")
-        sol = galerkin_solve(prob, sine8, solver=dense, damping=0.25)
-        ref = solve_linear(prob, sine8, dense)
+        sol = galerkin_solve(prob, sine8, damping=0.25)
+        ref = solve_linear(prob, sine8)
         assert sol.kind == "perturbed" and sol.epsilon == 0.5
         assert sol.picard_iterations == 0
         assert np.array_equal(sol.coeffs, ref.coeffs)

@@ -9,7 +9,7 @@ from anisolab.assembly import KronOperator, assemble_system
 from anisolab.coefficients import CoefficientField, as_field
 from anisolab.elliptic import ProblemSpec, solve_linear
 from anisolab.linsolve import (IndefiniteOperatorError, NonConvergenceError,
-                               SolverConfig, _is_symmetric, lu_solver, solve)
+                               _is_symmetric, lu_solver, solve)
 
 
 def random_spd(n, seed):
@@ -87,15 +87,15 @@ class TestAgainstDenseOracle:
         K = random_spd(50, seed)
         rng = np.random.default_rng(seed + 1)
         rhs = rng.normal(size=50)
-        x_cg, _, _ = solve(K, rhs, SolverConfig(method="cg", rel_tol=1e-12))
-        x_ch, _, _ = solve(K, rhs, SolverConfig(method="dense"))
+        x_cg, _, _ = solve(K, rhs, rel_tol=1e-12)
+        x_ch = np.linalg.solve(K.toarray(), rhs)
         assert np.linalg.norm(x_cg - x_ch) <= 1e-8 * np.linalg.norm(x_ch)
 
     def test_jacobi_and_plain_agree(self):
         K = random_spd(40, 3)
         rhs = np.ones(40)
-        for pre in ("none", "jacobi"):
-            x, res, _ = solve(K, rhs, SolverConfig(preconditioner=pre))
+        for precond in (lambda r: r, None):
+            x, res, _ = solve(K, rhs, precond=precond)
             assert res <= 1e-10 * np.linalg.norm(rhs)
 
 
@@ -104,21 +104,29 @@ class TestErrorPaths:
         K = random_spd(60, 4)
         rhs = np.ones(60)
         with pytest.raises(NonConvergenceError) as err:
-            solve(K, rhs, SolverConfig(max_iter=2, preconditioner="none"))
+            linsolve._cg(K, rhs, None, 1e-10, max_iter=2, precond=lambda r: r,
+                         callback=None)
         assert err.value.iterations == 2
         assert err.value.best_x.shape == (60,)
         assert np.isfinite(err.value.residual_norm)
 
-    def test_indefinite_breakdown_advises_dense(self):
-        K = sp.diags([1.0, -1.0, 1.0]).tocsr()
-        with pytest.raises(IndefiniteOperatorError, match="dense"):
-            solve(K, np.array([1.0, 1.0, 1.0]),
-                  SolverConfig(preconditioner="none"))
+    def test_iteration_cap_is_twenty_n(self, monkeypatch):
+        caps = []
+        real_cg = linsolve._cg
 
-    def test_dense_size_cap(self):
-        with pytest.raises(ValueError, match="4000"):
-            solve(sp.eye(4001, format="csr"), np.ones(4001),
-                  SolverConfig(method="dense"))
+        def capped_cg(K, b, x0, rel_tol, max_iter, precond, callback):
+            caps.append(max_iter)
+            return real_cg(K, b, x0, rel_tol, max_iter, precond, callback)
+
+        monkeypatch.setattr(linsolve, "_cg", capped_cg)
+        for n in (7, 30):
+            solve(random_spd(n, n), np.ones(n))
+        assert caps == [20 * 7, 20 * 30]
+
+    def test_indefinite_breakdown_is_reported(self):
+        K = sp.diags([1.0, -1.0, 1.0]).tocsr()
+        with pytest.raises(IndefiniteOperatorError, match="not positive definite$"):
+            solve(K, np.array([1.0, 1.0, 1.0]), precond=lambda r: r)
 
     def test_nonsymmetric_routes_to_lu(self):
         K = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
@@ -131,10 +139,9 @@ class TestCgProperties:
     def test_energy_error_monotone_on_iterates(self):
         K = random_spd(35, 7)
         rhs = np.arange(1.0, 36.0)
-        x_star, _, _ = solve(K, rhs, SolverConfig(method="dense"))
+        x_star = np.linalg.solve(K.toarray(), rhs)
         iterates = []
-        solve(K, rhs, SolverConfig(rel_tol=1e-12, preconditioner="none"),
-              callback=iterates.append)
+        solve(K, rhs, rel_tol=1e-12, precond=lambda r: r, callback=iterates.append)
         energies = [float((x - x_star) @ (K @ (x - x_star))) for x in iterates]
         for a, b in zip(energies, energies[1:]):
             assert b <= a * (1.0 + 1e-10)
@@ -142,18 +149,16 @@ class TestCgProperties:
     def test_polishing_never_increases_true_residual(self):
         K = random_spd(45, 11)
         rhs = np.ones(45)
-        x1, res1, _ = solve(K, rhs, SolverConfig(rel_tol=1e-6))
-        x2, res2, _ = solve(K, rhs, SolverConfig(rel_tol=1e-12), x0=x1)
+        x1, res1, _ = solve(K, rhs, rel_tol=1e-6)
+        x2, res2, _ = solve(K, rhs, rel_tol=1e-12, x0=x1)
         assert res2 <= res1 * (1.0 + 1e-12)
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0}, {"method": "gmres"}, {"preconditioner": "ilu"},
-    ])
-    def test_bad_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-10, -1.0])
+    def test_bad_config_rejected(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol"):
+            solve(random_spd(5, 0), np.ones(5), rel_tol=rel_tol)
 
 
 def _sparse_verdict(K, tol=1e-12):

@@ -14,7 +14,7 @@ from anisolab.assembly import (assemble_system, mass_1d, pencil_eigenbasis,
 from anisolab.coefficients import (CoefficientField, ReactionSpec,
                                    ScalarField, SourceField, as_field)
 from anisolab.elliptic import LIMIT, ProblemSpec, solve_linear
-from anisolab.linsolve import IndefiniteOperatorError, SolverConfig, solve
+from anisolab.linsolve import IndefiniteOperatorError, solve
 from anisolab.spaces import build_space
 
 PI = math.pi
@@ -117,25 +117,24 @@ class TestTwoDimensionalCoefficients:
     def test_matches_dense_cholesky(self, dom, rate_2d):
         space = build_space(dom, "q1", 16, "q1", 16)
         problem = ProblemSpec(dom, rate_2d, generic_source(), epsilon=0.125)
-        cg = solve_linear(problem, space, SolverConfig(rel_tol=1e-13))
-        dense = solve_linear(problem, space, SolverConfig(method="dense"))
-        assert (np.linalg.norm(cg.coeffs - dense.coeffs)
-                <= 1e-10 * np.linalg.norm(dense.coeffs))
+        system = assemble_system(space, rate_2d, problem.source)
+        cg = solve_linear(problem, space, system=system)
+        dense = np.linalg.solve(system.operator(0.125).toarray(), system.F)
+        assert (np.linalg.norm(cg.coeffs - dense)
+                <= 1e-10 * np.linalg.norm(dense))
 
 
 class TestCallerPreconditioner:
     def test_exact_inverse_takes_one_iteration(self):
         diag = np.arange(1.0, 11.0)
         K = sp.diags(diag).tocsr()
-        _, res, it = solve(K, np.ones(10), SolverConfig(preconditioner="none"),
-                           precond=lambda r: r / diag)
+        _, res, it = solve(K, np.ones(10), precond=lambda r: r / diag)
         assert it == 1 and res <= 1e-14
 
     def test_nonpositive_diagonal_is_refused(self):
         K = sp.diags([1.0, -1.0, 1.0]).tocsr()
-        with pytest.raises(IndefiniteOperatorError, match="dense"):
-            solve(K, np.ones(3), SolverConfig(preconditioner="none"),
-                  precond=lambda r: r)
+        with pytest.raises(IndefiniteOperatorError, match="not positive definite$"):
+            solve(K, np.ones(3), precond=lambda r: r)
 
     def test_negative_curvature_is_refused(self):
         # positive diagonal, indefinite matrix: eigenvalues 3 and -1

@@ -15,9 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from anisolab.assembly import assemble_system, project
+from anisolab.assembly import assemble_scaled_stiffness, assemble_system, project
 from anisolab.cli import main
-from anisolab.coefficients import scale_matrix
 from anisolab.config import ConfigError, parse_config, shipped_config_dir
 from anisolab.elliptic import ProblemSpec
 from anisolab.semigroup import semigroup_deviation_study
@@ -69,7 +68,7 @@ def test_every_epsilon_entry_point_gives_the_owner_message(tmp_path, capsys, dom
     calls = {
         "ProblemSpec": lambda: ProblemSpec(dom, A_identity, f_mode11, epsilon=eps),
         "operator": lambda: system.operator(eps),
-        "scale_matrix": lambda: scale_matrix(A_identity, eps),
+        "assemble_scaled_stiffness": lambda: assemble_scaled_stiffness(sine8, A_identity, eps),
         "diagonal flows": lambda: semigroup_deviation_study(
             sine8, A_identity, [0.5, eps], g, 1.0),
     }

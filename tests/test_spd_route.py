@@ -26,7 +26,7 @@ from anisolab.coefficients import (CoefficientField, ReactionSpec,
                                    ScalarField, SourceField, as_field)
 from anisolab.diagnostics import REFERENCE_REFINEMENT, best_approximation, cea_check
 from anisolab.elliptic import LIMIT, ProblemSpec, galerkin_solve, solve_semilinear
-from anisolab.linsolve import NonConvergenceError, SolverConfig, solve
+from anisolab.linsolve import NonConvergenceError, solve
 from anisolab.spaces import build_space, embedding_matrix
 
 PI = math.pi
@@ -67,8 +67,7 @@ class TestSeparablePreconditioner:
     @pytest.mark.parametrize("eps,mu", KEYS)
     def test_cg_stops_after_one_iteration(self, two_term_system, eps, mu):
         b = generic_load(two_term_system.space)
-        result = solve(two_term_system.operator(eps, mu), b,
-                       SolverConfig(rel_tol=1e-12),
+        result = solve(two_term_system.operator(eps, mu), b, rel_tol=1e-12,
                        precond=two_term_system.tensor_preconditioner(eps, mu))
         assert result.iterations == 1
         assert result.residual_norm <= 1e-12 * np.linalg.norm(b)
@@ -93,10 +92,9 @@ class TestSeparablePreconditioner:
         system = assemble_system(space, COUPLED)
         assert system.two_term_eigenbasis is None
         K, b = system.operator(eps), generic_load(space)
-        cfg = SolverConfig(rel_tol=1e-12)
-        identity = solve(K, b, cfg, precond=fast_diagonal_inverse(
+        identity = solve(K, b, rel_tol=1e-12, precond=fast_diagonal_inverse(
             system.eigenbasis, eps, 0.0))
-        separable = solve(K, b, cfg, precond=system.tensor_preconditioner(eps))
+        separable = solve(K, b, rel_tol=1e-12, precond=system.tensor_preconditioner(eps))
         assert separable.iterations <= identity.iterations
         assert (np.linalg.norm(separable.x - identity.x)
                 <= 1e-9 * np.linalg.norm(identity.x))
