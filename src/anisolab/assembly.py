@@ -12,12 +12,20 @@ coefficient:
 * a separable coefficient, a sum of products ``scale * g(x1) * h(x2)``
   (``ScalarField.products``; a constant or one-variable coefficient is one
   such product), gives one factored term per product, of two 1D matrices
-  weighted by ``g`` and ``h``: dense for sine and sparse (tridiagonal) for
-  Q1; the coefficient-free factors are built once per space;
+  weighted by ``g`` and ``h``: dense for sine, and for Q1 its three
+  diagonals (:class:`Tridiagonal`); the coefficient-free factors are built
+  once per space;
 * a coefficient that does not split gives a remainder by a contraction over
   the quadrature grid, restricted in each direction to the basis pairs whose
   supports overlap (every pair for sine, neighbours for Q1): dense for
-  sine x sine, CSR when either direction is Q1.
+  sine x sine, a 9-point :class:`Stencil` for Q1 x Q1 (contracted by
+  element blocks, each quadrature point touching two hats per direction),
+  CSR on a mixed space.
+
+On a Q1 x Q1 space an operator folds its terms and remainders into one
+cached stencil, the ``(3, 3, n1, n2)`` array of each node's couplings to
+its neighbours, and applies it by nine shifted multiply-adds; so a Q1 run
+that factorises nothing imports no ``scipy.sparse``.
 
 Loads follow the same split: a separable source is a sum of outer products
 of 1D loads, any other source is contracted on the quadrature grid.
@@ -30,8 +38,8 @@ a weak dictionary keyed by the space: built once, shared by every system
 and projection on the space, and freed with it.
 
 The public ``bilinear_form`` family and ``AssembledProblem.stiffness``
-return the CSR materialisation of these operators; the Galerkin solves
-apply them factored.
+return the CSR materialisation of these operators, built on demand (from
+the stencil on Q1 x Q1); the Galerkin solves apply them factored.
 
 The quadrature grid belongs to the space: every kernel and load reads its
 rules and basis tables through :meth:`GalerkinSpace.rule`, and the loads of
@@ -55,6 +63,7 @@ from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_val
                            as_field, check_epsilon, grid_values)
 from .linsolve import SYMMETRY_TOL, _is_symmetric, _max_abs, issparse, sparse
 from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis
+from .stencil import Stencil, Tridiagonal, _element_stencil
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -92,14 +101,18 @@ class KronOperator:
     """``sum_k c_k B1_k (x) B2_k + sum_l s_l R_l`` on the flat index
     ``i * n2 + j``, kept factored.
 
-    The 1D factors ``B1_k`` (``n1 x n1``) and ``B2_k`` (``n2 x n2``) and
-    the remainders ``R_l`` are dense arrays or CSR matrices.  ``@`` applies
-    a term to a vector ``x`` as ``B1 X B2^T`` with ``X = x.reshape(n1, n2)``:
-    O(m^3) work for sine factors instead of the O(m^4) of the materialised
-    product.  ``symmetric`` is the symmetry verdict that
-    :func:`anisolab.linsolve.solve` routes by (None when not known).  Every
-    view of the operator (``@``, ``diagonal``, ``tocsr``, ``toarray``,
-    ``row_blocks``) is read off the same scaled terms and remainders.
+    The 1D factors ``B1_k`` (``n1 x n1``) and ``B2_k`` (``n2 x n2``) are
+    dense arrays for sine and :class:`Tridiagonal` for Q1; the remainders
+    ``R_l`` are dense (sine x sine), a :class:`Stencil` (Q1 x Q1) or CSR
+    (a mixed space).  On a Q1 x Q1 space every term and remainder folds
+    into one cached :attr:`stencil`, which ``@`` and ``diagonal`` read.
+    Elsewhere ``@`` applies a term to a vector ``x`` as ``B1 X B2^T`` with
+    ``X = x.reshape(n1, n2)``: O(m^3) work for sine factors instead of the
+    O(m^4) of the materialised product.  ``symmetric`` is the symmetry
+    verdict that :func:`anisolab.linsolve.solve` routes by (None when not
+    known).  Every view of the operator (``@``, ``diagonal``, ``tocsr``,
+    ``toarray``, ``row_blocks``) is read off the same scaled terms and
+    remainders.
     """
 
     def __init__(self, n1: int, n2: int, terms=(), remainders=(),
@@ -126,19 +139,48 @@ class KronOperator:
     def is_zero(self) -> bool:
         return not self.terms and not self.remainders
 
+    @cached_property
+    def stencil(self) -> Optional[Stencil]:
+        """The operator as one :class:`Stencil` on a Q1 x Q1 space (every
+        factor tridiagonal, every remainder a stencil), else None.  Folded
+        once, on first use: the terms by one matrix product per neighbour
+        ``(a, b)``, ``sum_k (c_k bands1_k[a]) (x) bands2_k[b]``, then the
+        scaled remainders."""
+        factors = [B for term in self.terms for B in term[1:]]
+        if (self.is_zero or not all(isinstance(B, Tridiagonal) for B in factors)
+                or not all(isinstance(R, Stencil) for _, R in self.remainders)):
+            return None
+        shape = (3, 3, self.n1, self.n2)
+        if self.terms:
+            weights = np.empty(shape)
+            U = np.stack([c * B1.bands for c, B1, _ in self.terms], axis=-1)
+            V = np.stack([B2.bands for *_, B2 in self.terms])
+            for a in range(3):
+                for b in range(3):
+                    np.dot(U[a], V[:, b], out=weights[a, b])
+        else:
+            weights = np.zeros(shape)
+        for s, R in self.remainders:
+            weights += s * R.weights
+        return Stencil(weights)
+
     def __matmul__(self, x):
+        if self.stencil is not None:
+            return self.stencil @ x
         x = np.asarray(x, dtype=float)
         X = x.reshape(self.n1, self.n2)
         out = np.zeros(self.shape[0])
         grid = out.reshape(self.n1, self.n2)
         for c, B1, B2 in self.terms:
-            # (B2 @ Y.T).T is Y @ B2^T for a sparse B2 too
+            # (B2 @ Y.T).T is Y @ B2^T for a tridiagonal B2 too
             grid += c * (B2 @ (B1 @ X).T).T
         for s, R in self.remainders:
             out += s * (R @ x)
         return out
 
     def diagonal(self) -> np.ndarray:
+        if self.stencil is not None:
+            return self.stencil.diagonal()
         out = np.zeros(self.shape[0])
         for c, B1, B2 in self.terms:
             out += c * np.outer(B1.diagonal(), B2.diagonal()).ravel()
@@ -148,8 +190,11 @@ class KronOperator:
 
     @cached_property
     def _csr(self) -> sp.csr_matrix:
+        if self.stencil is not None:
+            return self.stencil.tocsr()
         sp = sparse()
-        pieces = ([sp.csr_matrix(c * sp.kron(sp.csr_matrix(B1), sp.csr_matrix(B2)))
+        pieces = ([sp.csr_matrix(c * sp.kron(sp.csr_matrix(_dense(B1)),
+                                             sp.csr_matrix(_dense(B2))))
                    for c, B1, B2 in self.terms]
                   + [sp.csr_matrix(s * R) for s, R in self.remainders])
         if not pieces:
@@ -158,10 +203,13 @@ class KronOperator:
 
     def tocsr(self) -> sp.csr_matrix:
         """CSR materialisation, built once from the scaled terms and
-        remainders and returned on every call (do not modify it)."""
+        remainders (from the stencil on Q1 x Q1) and returned on every call
+        (do not modify it)."""
         return self._csr
 
     def toarray(self) -> np.ndarray:
+        if self.stencil is not None:
+            return self.stencil.toarray()
         out = np.zeros(self.shape)
         for c, B1, B2 in self.terms:
             out += c * np.kron(_dense(B1), _dense(B2))
@@ -172,7 +220,8 @@ class KronOperator:
     def row_blocks(self):
         """``(K[rows], K^T[rows])`` as dense arrays for each block of ``n2``
         rows (one ``i`` of the flat index ``i * n2 + j``): O(n1 n2^2) memory
-        per block, where the whole matrix takes (n1 n2)^2."""
+        per block, where the whole matrix takes (n1 n2)^2.  For an operator
+        without a :attr:`stencil`, which has its own symmetry test."""
         terms = [(c, _dense(B1), _dense(B2)) for c, B1, B2 in self.terms]
         for i in range(self.n1):
             rows = slice(i * self.n2, (i + 1) * self.n2)
@@ -187,8 +236,8 @@ class KronOperator:
             yield block, block_t
 
 
-def _dense(B):
-    return B.toarray() if issparse(B) else B
+def _dense(B) -> np.ndarray:
+    return B if isinstance(B, np.ndarray) else B.toarray()
 
 
 def _per_space(fn):
@@ -221,10 +270,13 @@ def _matrix_1d(space: GalerkinSpace, direction: int, test_sel: int, trial_sel: i
     return S.T @ (w[:, None] * T)
 
 
-def _as_factor(space: GalerkinSpace, direction: int, B):
-    """A 1D factor as stored in a term: CSR (tridiagonal) for a Q1 family."""
+def _factor(space: GalerkinSpace, direction: int, test_sel: int, trial_sel: int,
+            coef_values=None):
+    """:func:`_matrix_1d` as a term stores it: its three diagonals
+    (:class:`Tridiagonal`) in a Q1 direction."""
+    B = _matrix_1d(space, direction, test_sel, trial_sel, coef_values)
     family = space.basis1 if direction == 1 else space.basis2
-    return sparse().csr_matrix(B) if isinstance(family, Q1Basis) else B
+    return Tridiagonal(B) if isinstance(family, Q1Basis) else B
 
 
 @_per_space
@@ -232,8 +284,7 @@ def _plain_factor(space: GalerkinSpace, direction: int, test_sel: int,
                   trial_sel: int):
     """The coefficient-free 1D factor, built once per space and shared by
     every term, norm matrix and eigenbasis that uses it; read-only."""
-    return _as_factor(space, direction,
-                      _matrix_1d(space, direction, test_sel, trial_sel))
+    return _factor(space, direction, test_sel, trial_sel)
 
 
 def _finite(values, name: str):
@@ -253,7 +304,7 @@ def _part_values(space: GalerkinSpace, direction: int, part: ScalarField,
 def _factored_path(space, products, test_sel: int, trial_sel: int):
     """One factored term ``scale B1 (x) B2`` per product ``(scale, g, h)``;
     each 1D factor is weighted by its part (coefficient free for None) and
-    is sparse in a Q1 direction."""
+    is tridiagonal in a Q1 direction."""
     terms = []
     for scale, *parts in products:
         if _finite(scale, "coefficient") == 0.0:
@@ -264,9 +315,8 @@ def _factored_path(space, products, test_sel: int, trial_sel: int):
             t, s = (sel if sel == direction else 0 for sel in (test_sel, trial_sel))
             factors.append(
                 _plain_factor(space, direction, t, s) if part is None else
-                _as_factor(space, direction, _matrix_1d(
-                    space, direction, t, s,
-                    _part_values(space, direction, part, "coefficient"))))
+                _factor(space, direction, t, s,
+                        _part_values(space, direction, part, "coefficient")))
         terms.append((scale, *factors))
     return KronOperator(space.basis1.dim, space.basis2.dim, terms)
 
@@ -275,22 +325,25 @@ def _pair_table(space: GalerkinSpace, direction: int, test_sel: int,
                 trial_sel: int):
     """``(i, k, C)`` of one direction: the basis pairs whose supports
     overlap, read off the tables as the nonzeros of ``|S|^T |T|``, and their
-    products ``C[p, (i, k)] = S[p, i] T[p, k]`` at the quadrature points,
-    stored like the direction's 1D factors."""
+    products ``C[p, (i, k)] = S[p, i] T[p, k]`` at the quadrature points."""
     _, _, V, D = space.rule(direction)
     S = _pick(test_sel, direction, V, D)
     T = _pick(trial_sel, direction, V, D)
     i, k = np.nonzero(np.abs(S).T @ np.abs(T))
     C = np.take(S, i, axis=1)
     C *= np.take(T, k, axis=1)
-    return i, k, _as_factor(space, direction, C)
+    return i, k, C
 
 
 def _grid_path(space: GalerkinSpace, coef_values, test_sel: int, trial_sel: int):
-    """``C1^T (w1 w2^T o c) C2`` over the overlapping pairs: a dense matrix
-    when every pair overlaps (sine x sine), CSR otherwise."""
+    """``C1^T (w1 w2^T o c) C2`` over the overlapping pairs: a stencil on
+    Q1 x Q1, a dense matrix when every pair overlaps (sine x sine), CSR on
+    a mixed space."""
     _, w1, _, _ = space.rule(1)
     _, w2, _, _ = space.rule(2)
+    if isinstance(space.basis1, Q1Basis) and isinstance(space.basis2, Q1Basis):
+        return _element_stencil(space, np.outer(w1, w2) * coef_values,
+                                test_sel, trial_sel)
     i1, k1, C1 = _pair_table(space, 1, test_sel, trial_sel)
     i2, k2, C2 = _pair_table(space, 2, test_sel, trial_sel)
     n1, n2, dim = space.basis1.dim, space.basis2.dim, space.dim
@@ -483,6 +536,7 @@ def _two_term_spectrum(d1, d2, epsilon: Optional[float], mu: float) -> np.ndarra
 def _transposed(A, B) -> bool:
     """``max|B - A^T| <= SYMMETRY_TOL max|A|``: ``B`` is ``A^T`` by the
     relative test of ``_is_symmetric``."""
+    A, B = _dense(A), _dense(B)
     return _max_abs(B - A.T) <= SYMMETRY_TOL * max(_max_abs(A), 1e-300)
 
 
@@ -526,7 +580,9 @@ class AssembledProblem:
         ``A' = A^T`` and ``B' = B^T`` sum to a symmetric matrix, so each such
         pair is settled on its 1D factors, by the relative test of
         ``_is_symmetric``.  The unpaired terms and the remainders are checked
-        as a matrix: by row blocks when they are dense, else as CSR.
+        as a matrix by ``_is_symmetric``: on their stencil on a Q1 x Q1
+        space, as CSR when a remainder is CSR (a mixed space), else by row
+        blocks.
         """
         unpaired = list(self.K21.terms)
         rest = []
@@ -542,9 +598,8 @@ class AssembledProblem:
                             self.coupling.remainders)
         if left.is_zero:
             return True
-        pieces = [B for term in left.terms for B in term[1:]]
-        pieces += [R for _, R in left.remainders]
-        return _is_symmetric(left.tocsr() if any(map(issparse, pieces)) else left)
+        sparse_rest = any(issparse(R) for _, R in left.remainders)
+        return _is_symmetric(left.tocsr() if sparse_rest else left)
 
     def operator(self, epsilon: Optional[float] = None,
                  mu: float = 0.0) -> KronOperator:

@@ -332,6 +332,7 @@ def _validate(cfg: ExperimentConfig, where: dict):
     sample = _sample_axes(domain, VALIDATE_GRID)
     gauss = [_interval_rule(side)[0] for side in sides]
     sampled = {}  # coefficient -> its values on the sample grid
+    parsed = {}  # key -> its expression
     for what, section, attrs, axes in (
             ("coefficient", "problem", ("a11", "a12", "a21", "a22"), sample),
             ("coefficient derivative", "problem",
@@ -340,7 +341,7 @@ def _validate(cfg: ExperimentConfig, where: dict):
             ("initial state", "study", ("u0",), gauss)):
         for attr in attrs:
             text = getattr(getattr(cfg, section), attr)
-            expr = None if text is None else parse_expression(text)
+            expr = parsed[attr] = None if text is None else parse_expression(text)
             if expr is not None and not expr.variables <= {"x1", "x2"}:
                 raise error(f"{what} {attr} may depend on x1 and x2 only",
                             section, attr)
@@ -357,6 +358,18 @@ def _validate(cfg: ExperimentConfig, where: dict):
             [sampled[a] for a in ("a11", "a12", "a21", "a22")],
             cfg.problem.lam, cfg.problem.a22_x2_only):
         raise error(message, "problem", attr)
+    # the declared vanishing x1-slices of f, on the samples of its x1 edges
+    # where f is finite there
+    if cfg.problem.f_slices_vanish_x1:
+        f = parsed["f"]
+        with np.errstate(all="ignore"):
+            values = np.abs(grid_values(lambda u, v: f(x1=u, x2=v), *sample))
+        finite = np.isfinite(values)
+        edges = values[[0, -1]][finite[[0, -1]]]
+        peak = np.max(edges, initial=0.0)
+        if peak > 1e-12 * max(1.0, np.max(values[finite], initial=0.0)):
+            raise error(f"f declared to vanish at the x1 endpoints but reaches "
+                        f"{peak:.3g} there", "problem", "f_slices_vanish_x1")
 
 
 def _emit_value(kind, value) -> str:

@@ -4,9 +4,11 @@ symmetry check or operators whose own verdict says they are not symmetric.
 
 :func:`lu_solver` is the package's one sparse LU.  Every scipy module loads
 on first use: ``scipy.sparse`` where the package first builds a sparse
-matrix (:func:`sparse`) and ``scipy.sparse.linalg`` for LU.  So a process
-that only applies dense or factored operators loads no scipy module, and
-one that only runs CG on sparse matrices loads no direct solver.
+matrix (:func:`sparse`: a CSR view of an operator, a remainder on a mixed
+sine x q1 space, a flow generator) and ``scipy.sparse.linalg`` for LU.  So
+a process that only applies dense or factored operators (the q1 x q1
+stencils included) loads no scipy module, and one that only runs CG on
+sparse matrices loads no direct solver.
 """
 
 from __future__ import annotations
@@ -74,9 +76,13 @@ def _max_abs(K) -> float:
 
 
 def _is_symmetric(K):
-    """``max|K - K^T| <= SYMMETRY_TOL max|K|`` for a sparse or dense matrix, or
-    for an operator that yields its rows in blocks with the same rows of its
+    """``max|K - K^T| <= SYMMETRY_TOL max|K|`` for a sparse or dense matrix,
+    for an operator held as a stencil (``stencil.is_symmetric``), or for an
+    operator that yields its rows in blocks with the same rows of its
     transpose (``row_blocks``), so that no whole matrix is formed."""
+    stencil = getattr(K, "stencil", None)
+    if stencil is not None:
+        return stencil.is_symmetric()
     blocks = K.row_blocks() if hasattr(K, "row_blocks") else ((K, K.T),)
     scales, gaps = zip(*((_max_abs(rows), _max_abs(rows - rows_t))
                          for rows, rows_t in blocks))

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (AssembledProblem, _matrix_1d, _plain_factor, _project_1d,
+from .assembly import (AssembledProblem, _matrix_1d, _project_1d,
                        _two_term_spectrum, assemble_system, energy_norm)
 from .coefficients import (CoefficientField, HypothesisNotSatisfied, ReactionSpec,
                            SourceField, missing_hypotheses)
@@ -592,7 +592,7 @@ def tensor_semigroup_oracle_check(space: GalerkinSpace, A: CoefficientField,
     mid1 = 0.5 * (space.domain.omega1[0] + space.domain.omega1[1])
     a22 = A.a22(mid1, space.grid_axes[1])
     csr_matrix = sparse().csr_matrix
-    gen1d = DiscreteGenerator(csr_matrix(_plain_factor(space, 2, 0, 0)),
+    gen1d = DiscreteGenerator(csr_matrix(_matrix_1d(space, 2, 0, 0)),
                               csr_matrix(_matrix_1d(space, 2, 2, 2, a22)), "limit")
 
     cfg2 = EvolutionConfig(T=s, stepper="yosida", steps=64, yosida_mu=mu)

@@ -496,6 +496,38 @@ class TestParabolicInputs:
                             "quadrature grid\n")
 
 
+class TestDeclaredSourceSlices:
+    # f_slices_vanish_x1 sits on line 16 of rate_identity.cfg; a source that
+    # does not vanish at an x1 endpoint made the rate bound read 0, and the
+    # run exit 1 as a false counterexample
+    @pytest.mark.parametrize("f,f_dx1,peak", [
+        ("(2/pi)*sin(x2)", "0", "0.637"),
+        ("x1*sin(x2)", "sin(x2)", "3.14"),
+    ])
+    def test_false_flag_is_a_config_error_at_the_key(self, tmp_path, capsys,
+                                                     f, f_dx1, peak):
+        lines = (CONFIG_DIR / "rate_identity.cfg").read_text().splitlines()
+        assert lines[12].startswith("f = ") and lines[13].startswith("f_dx1 = ")
+        assert lines[15] == "f_slices_vanish_x1 = true"
+        lines[12], lines[13] = f'f = "{f}"', f'f_dx1 = "{f_dx1}"'
+        cfg_path = tmp_path / "slices.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: line 16, column 1: f declared to vanish at the x1 endpoints "
+            f"but reaches {peak} there\n")
+        assert not (out / "summary.json").exists()
+
+    def test_every_shipped_source_passes_the_check(self):
+        # (2/pi) sin(pi) is 7.8e-17, within 1e-12 max(1, max|f|) of 0
+        paths = sorted(CONFIG_DIR.glob("*.cfg")) + sorted(TOOL_CONFIG_DIR.glob("*.cfg"))
+        assert len(paths) == 16
+        for path in paths:
+            assert load_config(path).problem.f_slices_vanish_x1
+
+
 class TestRepeatedKey:
     def test_second_occurrence_is_an_error(self):
         with pytest.raises(ConfigError, match="key 'kind' given twice in "

@@ -1,5 +1,6 @@
 """The grid-contraction kernel of genuinely 2D coefficients: its agreement
-with the factored kernel on a separable coefficient, and its storage."""
+with the factored kernel on a separable coefficient, and its storage (dense
+on sine x sine, a 9-point stencil on q1 x q1, CSR on a mixed space)."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 
 from anisolab.assembly import _matrix_1d, assemble_system, bilinear_form
 from anisolab.spaces import build_space
+from anisolab.stencil import Stencil
 
 SELECTORS = [(0, 0), (1, 1), (2, 2), (1, 2), (2, 1), (0, 1), (2, 0)]
 
@@ -41,11 +43,18 @@ def test_remainder_storage(space, A_offdiag_variable):
     pairs = [n * n if b.kind == "sine" else 3 * n - 2
              for b, n in ((space.basis1, space.basis1.dim),
                           (space.basis2, space.basis2.dim))]
+    kinds = (space.basis1.kind, space.basis2.kind)
     for block in (system.K12, system.K21):
         (_, R), = block.remainders
         assert R.shape == (space.dim, space.dim)
-        if space.basis1.kind == space.basis2.kind == "sine":
+        if kinds == ("sine", "sine"):
             assert isinstance(R, np.ndarray)
+        elif kinds == ("q1", "q1"):
+            # a 9-point stencil, materialised with an entry for every
+            # neighbour that exists
+            assert isinstance(R, Stencil)
+            assert R.weights.shape == (3, 3, space.basis1.dim, space.basis2.dim)
+            assert R.tocsr().nnz == pairs[0] * pairs[1]
         else:
             assert sp.isspmatrix_csr(R)
             assert R.nnz == pairs[0] * pairs[1]
@@ -55,7 +64,13 @@ def test_q1_remainder_has_the_neighbour_pattern(dom, A_offdiag_variable):
     space = build_space(dom, "q1", 8, "q1", 6)
     n1, n2 = space.basis1.dim, space.basis2.dim
     (_, R), = assemble_system(space, A_offdiag_variable).K12.remainders
-    assert sp.isspmatrix_csr(R) and R.nnz == (3 * n1 - 2) * (3 * n2 - 2)
-    rows, cols = R.nonzero()
+    assert isinstance(R, Stencil)
+    csr = R.tocsr()
+    assert csr.nnz == (3 * n1 - 2) * (3 * n2 - 2)
+    rows, cols = csr.nonzero()
     (i, j), (k, l) = divmod(rows, n2), divmod(cols, n2)
     assert np.abs(i - k).max() <= 1 and np.abs(j - l).max() <= 1
+    # a neighbour past an edge of the grid has weight 0
+    W = R.weights
+    for edge in (W[0, :, 0], W[2, :, -1], W[:, 0, :, 0], W[:, 2, :, -1]):
+        assert not np.any(edge)

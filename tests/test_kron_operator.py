@@ -13,6 +13,7 @@ from anisolab.elliptic import LIMIT, ProblemSpec, solve_linear
 from anisolab.expressions import parse_expression
 from anisolab.linsolve import _is_symmetric
 from anisolab.spaces import build_space
+from anisolab.stencil import Tridiagonal
 
 
 def _expr(source):
@@ -77,10 +78,13 @@ class TestOperatorAgainstCSR:
         assert not system.K12.terms and len(system.K12.remainders) == 1
 
     def test_q1_factors_stay_sparse(self, dom):
+        # three diagonals, with 0 at the two corners outside the matrix
         system = assemble_system(build_space(dom, "q1", 16, "sine", 4),
                                  CoefficientField.identity())
         (_, B1, B2), = system.K22.terms
-        assert scipy.sparse.issparse(B1) and B1.nnz == 15 + 2 * 14
+        assert isinstance(B1, Tridiagonal) and B1.bands.shape == (3, 15)
+        assert np.count_nonzero(B1.bands) == 15 + 2 * 14
+        assert B1.bands[0, 0] == B1.bands[2, -1] == 0.0
         assert isinstance(B2, np.ndarray)
 
 

@@ -9,7 +9,7 @@ import anisolab
 
 MODULES = ["assembly", "cli", "coefficients", "config", "diagnostics",
            "elliptic", "expressions", "linsolve", "reports", "semigroup",
-           "spaces"]
+           "spaces", "stencil"]
 
 
 @pytest.mark.parametrize("name", MODULES)

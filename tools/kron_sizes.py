@@ -1,19 +1,23 @@
-"""Assembly time, storage and limit-solve time of sine systems by size.
+"""Assembly time, storage and limit-solve time of systems by size.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 tools/kron_sizes.py [--sizes 16 32 48 64]
+    PYTHONPATH=src python3 tools/kron_sizes.py [--basis sine] [--sizes 16 32 48 64]
+    PYTHONPATH=src python3 tools/kron_sizes.py --basis q1 [--sizes 128 256 512]
 
 For identity coefficients and the source ``(2/pi) sin(x1) sin(x2)`` on
-sine x sine spaces of ``m`` modes per direction, one line per ``m`` gives
-the median over ``REPEATS`` calls of ``assemble_system`` on a fresh space
-(quadrature tables and norm matrices included), the doubles the system
-stores in K11, K12, K21, K22, M, G1 and G2 (the values of a CSR matrix; the
-1D factors and remainders of a factored operator, each array counted once),
-and the median time and CG iterations of the preconditioned limit solve.
-The storage of a CSR system grows like m^4 (16.7M values per matrix at
-m = 64), so size ``--sizes`` to the memory at hand.  BLAS runs
-single-threaded.  Needs numpy, scipy and anisolab only.
+``basis x basis`` spaces of ``m`` modes (sine) or subintervals (q1) per
+direction, one line per ``m`` gives the median over ``REPEATS`` calls of
+``assemble_system`` on a fresh space (quadrature tables and norm matrices
+included), the doubles the system stores in K11, K12, K21, K22, M, G1 and
+G2, and the median time and CG iterations of the preconditioned limit
+solve.  The doubles are the values of a CSR matrix, and the 1D factors,
+remainders and stencil of a factored operator, each array counted once: a
+q1 x q1 block holds its 1D diagonals and, folded on first use, one 9-point
+stencil of ``9 n1 n2`` doubles.  The storage of a sine CSR system grows like
+m^4 (16.7M values per matrix at m = 64), so size ``--sizes`` to the memory
+at hand.  BLAS runs single-threaded.  Needs numpy and anisolab only (scipy
+too for a tree that stores CSR).
 """
 
 from __future__ import annotations
@@ -36,6 +40,17 @@ from anisolab.spaces import TensorDomain, build_space  # noqa: E402
 
 REPEATS = 5
 BLOCKS = ("K11", "K12", "K21", "K22", "M", "G1", "G2")
+DEFAULT_SIZES = {"sine": [16, 32, 48, 64], "q1": [128, 256, 512]}
+
+
+def doubles(a) -> int:
+    """Values stored by one matrix: the weights of a stencil, the diagonals
+    of a tridiagonal factor, the values of a CSR matrix, the entries of a
+    dense one."""
+    for attr in ("weights", "bands"):
+        if hasattr(a, attr):
+            return getattr(a, attr).size
+    return getattr(a, "nnz", None) or a.size
 
 
 def stored_doubles(system) -> int:
@@ -46,11 +61,12 @@ def stored_doubles(system) -> int:
         if hasattr(block, "terms"):
             found = [B for _, B1, B2 in block.terms for B in (B1, B2)]
             found += [R for _, R in block.remainders]
+            found += [S for S in [getattr(block, "stencil", None)] if S is not None]
         else:
             found = [block]
         for a in found:
             arrays[id(a)] = a
-    return sum(getattr(a, "nnz", None) or a.size for a in arrays.values())
+    return sum(map(doubles, arrays.values()))
 
 
 def median_ms(fn) -> float:
@@ -64,18 +80,20 @@ def median_ms(fn) -> float:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 48, 64])
+    parser.add_argument("--basis", choices=sorted(DEFAULT_SIZES), default="sine")
+    parser.add_argument("--sizes", type=int, nargs="+")
     args = parser.parse_args(argv)
+    basis = args.basis
     dom = TensorDomain((0.0, math.pi), (0.0, math.pi))
     A = CoefficientField.identity()
     f = SourceField(parse_expression("(2/pi)*sin(x1)*sin(x2)"))
-    print(f"sine x sine, identity coefficients; medians of {REPEATS} calls, "
-          "BLAS on one thread")
+    print(f"{basis} x {basis}, identity coefficients; medians of {REPEATS} "
+          "calls, BLAS on one thread")
     print(f"{'m':>4}{'dim':>7}{'assemble ms':>13}{'stored doubles':>16}"
           f"{'limit solve ms':>16}{'CG its':>8}")
-    for m in args.sizes:
+    for m in args.sizes or DEFAULT_SIZES[basis]:
         def assemble():
-            return assembly.assemble_system(build_space(dom, "sine", m, "sine", m),
+            return assembly.assemble_system(build_space(dom, basis, m, basis, m),
                                             A, f)
 
         assemble_ms = median_ms(assemble)
