@@ -22,10 +22,15 @@ coefficient:
   element blocks, each quadrature point touching two hats per direction),
   CSR on a mixed space.
 
-On a Q1 x Q1 space an operator folds its terms and remainders into one
-cached stencil, the ``(3, 3, n1, n2)`` array of each node's couplings to
-its neighbours, and applies it by nine shifted multiply-adds; so a Q1 run
-that factorises nothing imports no ``scipy.sparse``.
+On a Q1 x Q1 space an operator of two or more parts folds its terms and
+remainders into one cached stencil, the ``(3, 3, n1, n2)`` array of each
+node's couplings to its neighbours, and applies it by nine shifted
+multiply-adds.  An operator of one term and no remainder (the norm
+matrices, and a block or limit operator of one product) keeps its two
+tridiagonal factors, ``6 n`` doubles where a stencil holds ``9 n1 n2``, and
+is applied and materialised through them; its symmetry verdict is still
+taken on the nine weights, folded for the check and dropped.  Either way a
+Q1 run that factorises nothing imports no ``scipy.sparse``.
 
 Loads follow the same split: a separable source is a sum of outer products
 of 1D loads, any other source is contracted on the quadrature grid.
@@ -35,11 +40,14 @@ eigenbases (:func:`pencil_eigenbasis`) to a load.
 The data of the space alone (coefficient-free 1D factors, norm matrices,
 1D eigenbases and mass inverses) is cached per space by ``_per_space``, in
 a weak dictionary keyed by the space: built once, shared by every system
-and projection on the space, and freed with it.
+and projection on the space, and freed with it.  A square space (both
+directions the same family) builds its 1D eigenbasis and mass inverse once
+for both directions, as it does its rule and basis tables.
 
 The public ``bilinear_form`` family and ``AssembledProblem.stiffness``
 return the CSR materialisation of these operators, built on demand (from
-the stencil on Q1 x Q1); the Galerkin solves apply them factored.
+the stencil of a Q1 x Q1 operator that keeps one); the Galerkin solves
+apply them factored.
 
 The quadrature grid belongs to the space: every kernel and load reads its
 rules and basis tables through :meth:`GalerkinSpace.rule`, and the loads of
@@ -61,7 +69,8 @@ import numpy as np
 
 from .coefficients import (CoefficientField, ScalarField, SourceField, _axis_values,
                            as_field, check_epsilon, grid_values)
-from .linsolve import SYMMETRY_TOL, _is_symmetric, _max_abs, issparse, sparse
+from .linsolve import (SYMMETRY_TOL, _blocks_symmetric, _is_symmetric, _max_abs,
+                       issparse, sparse)
 from .spaces import BasisFamily1D, GalerkinSpace, Q1Basis
 from .stencil import Stencil, Tridiagonal, _element_stencil
 
@@ -104,15 +113,17 @@ class KronOperator:
     The 1D factors ``B1_k`` (``n1 x n1``) and ``B2_k`` (``n2 x n2``) are
     dense arrays for sine and :class:`Tridiagonal` for Q1; the remainders
     ``R_l`` are dense (sine x sine), a :class:`Stencil` (Q1 x Q1) or CSR
-    (a mixed space).  On a Q1 x Q1 space every term and remainder folds
-    into one cached :attr:`stencil`, which ``@`` and ``diagonal`` read.
-    Elsewhere ``@`` applies a term to a vector ``x`` as ``B1 X B2^T`` with
-    ``X = x.reshape(n1, n2)``: O(m^3) work for sine factors instead of the
-    O(m^4) of the materialised product.  ``symmetric`` is the symmetry
-    verdict that :func:`anisolab.linsolve.solve` routes by (None when not
-    known).  Every view of the operator (``@``, ``diagonal``, ``tocsr``,
-    ``toarray``, ``row_blocks``) is read off the same scaled terms and
-    remainders.
+    (a mixed space).  On a Q1 x Q1 space an operator of two or more parts
+    folds into one cached :attr:`stencil`, which ``@`` and ``diagonal``
+    read.  Elsewhere, and for one Q1 x Q1 term, ``@`` applies a term to a
+    vector ``x`` as ``B1 X B2^T`` with ``X = x.reshape(n1, n2)``: O(m^3)
+    work for sine factors instead of the O(m^4) of the materialised
+    product, and O(m^2) for tridiagonal ones.  :meth:`is_symmetric` is the
+    relative symmetry test, with no whole matrix formed; ``symmetric`` is
+    the symmetry verdict that :func:`anisolab.linsolve.solve` routes by
+    (None when not known).  Every view of the operator (``@``,
+    ``diagonal``, ``tocsr``, ``toarray``, ``row_blocks``) is read off the
+    same scaled terms and remainders.
     """
 
     def __init__(self, n1: int, n2: int, terms=(), remainders=(),
@@ -141,11 +152,25 @@ class KronOperator:
 
     @cached_property
     def stencil(self) -> Optional[Stencil]:
-        """The operator as one :class:`Stencil` on a Q1 x Q1 space (every
-        factor tridiagonal, every remainder a stencil), else None.  Folded
-        once, on first use: the terms by one matrix product per neighbour
-        ``(a, b)``, ``sum_k (c_k bands1_k[a]) (x) bands2_k[b]``, then the
-        scaled remainders."""
+        """The operator as one :class:`Stencil` on a Q1 x Q1 space, folded
+        once, on first use (:meth:`fold`), else None.  None also for one
+        term and no remainder, which is applied by its two tridiagonal
+        factors (``6 n`` doubles, where a stencil takes ``9 n1 n2``); a
+        lone remainder of scale 1 is its own stencil."""
+        if len(self.terms) == 1 and not self.remainders:
+            return None
+        if not self.terms and len(self.remainders) == 1:
+            s, R = self.remainders[0]
+            if s == 1.0 and isinstance(R, Stencil):
+                return R
+        return self.fold()
+
+    def fold(self) -> Optional[Stencil]:
+        """A new :class:`Stencil` of the operator on a Q1 x Q1 space (every
+        factor tridiagonal, every remainder a stencil), else None: the terms
+        by one matrix product per neighbour ``(a, b)``,
+        ``sum_k (c_k bands1_k[a]) (x) bands2_k[b]``, then the scaled
+        remainders."""
         factors = [B for term in self.terms for B in term[1:]]
         if (self.is_zero or not all(isinstance(B, Tridiagonal) for B in factors)
                 or not all(isinstance(R, Stencil) for _, R in self.remainders)):
@@ -164,6 +189,21 @@ class KronOperator:
             weights += s * R.weights
         return Stencil(weights)
 
+    def is_symmetric(self, scale: float = 0.0) -> bool:
+        """``max|K - K^T| <= SYMMETRY_TOL max(max|K|, scale)``, the test of
+        ``_is_symmetric``, with no whole matrix formed when it can be
+        avoided: on the weights of a Q1 x Q1 operator (folded for the
+        verdict and dropped when it keeps no :attr:`stencil`), on the CSR
+        view when a remainder is CSR (a mixed space), else by
+        :meth:`row_blocks`."""
+        stencil = self.stencil or self.fold()
+        if stencil is not None:
+            return stencil.is_symmetric(scale)
+        if any(issparse(R) for _, R in self.remainders):
+            csr = self.tocsr()
+            return _blocks_symmetric([(csr, csr.T)], scale)
+        return _blocks_symmetric(self.row_blocks(), scale)
+
     def __matmul__(self, x):
         if self.stencil is not None:
             return self.stencil @ x
@@ -172,8 +212,9 @@ class KronOperator:
         out = np.zeros(self.shape[0])
         grid = out.reshape(self.n1, self.n2)
         for c, B1, B2 in self.terms:
-            # (B2 @ Y.T).T is Y @ B2^T for a tridiagonal B2 too
-            grid += c * (B2 @ (B1 @ X).T).T
+            Y = B1 @ X
+            grid += c * (B2.apply_to_rows(Y) if isinstance(B2, Tridiagonal)
+                         else (B2 @ Y.T).T)
         for s, R in self.remainders:
             out += s * (R @ x)
         return out
@@ -181,6 +222,11 @@ class KronOperator:
     def diagonal(self) -> np.ndarray:
         if self.stencil is not None:
             return self.stencil.diagonal()
+        return self.parts_diagonal()
+
+    def parts_diagonal(self) -> np.ndarray:
+        """The diagonal summed from the scaled terms and remainders, with no
+        fold."""
         out = np.zeros(self.shape[0])
         for c, B1, B2 in self.terms:
             out += c * np.outer(B1.diagonal(), B2.diagonal()).ravel()
@@ -482,7 +528,10 @@ def stiffness_1d(family: BasisFamily1D, coef=None, order: int = 4):
 @_per_space
 def _mass_inverse_1d(space: GalerkinSpace, direction: int) -> np.ndarray:
     """``Q Q^T``, the inverse of the 1D mass matrix of one direction, from
-    its eigenbasis ``Q`` (``Q^T M Q = I``); built once per space."""
+    its eigenbasis ``Q`` (``Q^T M Q = I``); built once per space, and once
+    for both directions of a square space."""
+    if direction == 2 and space.is_square:
+        return _mass_inverse_1d(space, 1)
     Q, _ = pencil_eigenbasis(space, direction)
     return Q @ Q.T
 
@@ -504,7 +553,10 @@ def project(space: GalerkinSpace, fn):
 def pencil_eigenbasis(space: GalerkinSpace, direction: int):
     """``(Q, lam)`` with ``Q^T M Q = I`` and ``Q^T S Q = diag(lam)`` for the 1D
     mass ``M`` and stiffness ``S`` of one direction, from the family's
-    closed-form eigenvectors; built once per space."""
+    closed-form eigenvectors; built once per space, and once for both
+    directions of a square space, whose 1D matrices are the same."""
+    if direction == 2 and space.is_square:
+        return pencil_eigenbasis(space, 1)
     family = space.basis1 if direction == 1 else space.basis2
     V = family.pencil_vectors()
     M, S = (_dense(_plain_factor(space, direction, sel, sel)) for sel in (0, direction))
@@ -580,9 +632,14 @@ class AssembledProblem:
         ``A' = A^T`` and ``B' = B^T`` sum to a symmetric matrix, so each such
         pair is settled on its 1D factors, by the relative test of
         ``_is_symmetric``.  The unpaired terms and the remainders are checked
-        as a matrix by ``_is_symmetric``: on their stencil on a Q1 x Q1
-        space, as CSR when a remainder is CSR (a mixed space), else by row
-        blocks.
+        as one operator by ``_is_symmetric`` (``KronOperator.is_symmetric``),
+        relative to the larger of their own size and ``s``, the smaller of
+        the largest diagonal entries of ``K11`` and ``K22``: by
+        ``eps^2 a + b >= 2 eps min(a, b)``, every ``operator(eps)`` is at
+        least ``eps s`` large where its coupling enters as ``eps (K12 +
+        K21)``.  So a coupling of round-off next to the blocks, as on a
+        direction with one node, where its 1D factors cancel, reads
+        symmetric, as the materialised operator does.
         """
         unpaired = list(self.K21.terms)
         rest = []
@@ -598,8 +655,8 @@ class AssembledProblem:
                             self.coupling.remainders)
         if left.is_zero:
             return True
-        sparse_rest = any(issparse(R) for _, R in left.remainders)
-        return _is_symmetric(left.tocsr() if sparse_rest else left)
+        scale = min(_max_abs(K.parts_diagonal()) for K in (self.K11, self.K22))
+        return _is_symmetric(left, scale)
 
     def operator(self, epsilon: Optional[float] = None,
                  mu: float = 0.0) -> KronOperator:

@@ -323,10 +323,11 @@ def _validate(cfg: ExperimentConfig, where: dict):
                             f"reference size {fine.m}, the last size refined once",
                             "study", "sizes")
     # [problem] expressions and u0 are functions of x1 and x2 alone (t is the
-    # time of the parabolic source).  Coefficients must be finite on the
-    # sample grid of CoefficientField.validate, which would reject the same
-    # values without the key's position; the source, its x1-partial and the
-    # initial state on the Gauss grid of integrate_on_domain, which takes
+    # time of the parabolic source).  Coefficients and their declared
+    # partials must be finite on the sample grid of CoefficientField.validate,
+    # which would reject the same values without the key's position (the
+    # ledger samples the partials of a12 too); the source, its x1-partial and
+    # the initial state on the Gauss grid of integrate_on_domain, which takes
     # their norms, so a source finite there (sin(x1)/x1) is accepted.
     sides = domain.omega1, domain.omega2
     sample = _sample_axes(domain, VALIDATE_GRID)
@@ -336,7 +337,7 @@ def _validate(cfg: ExperimentConfig, where: dict):
     for what, section, attrs, axes in (
             ("coefficient", "problem", ("a11", "a12", "a21", "a22"), sample),
             ("coefficient derivative", "problem",
-             ("a12_dx1", "a12_dx2", "a21_dx1", "a21_dx2"), ()),
+             ("a12_dx1", "a12_dx2", "a21_dx1", "a21_dx2"), sample),
             ("source", "problem", ("f", "f_dx1"), gauss),
             ("initial state", "study", ("u0",), gauss)):
         for attr in attrs:
@@ -345,7 +346,7 @@ def _validate(cfg: ExperimentConfig, where: dict):
             if expr is not None and not expr.variables <= {"x1", "x2"}:
                 raise error(f"{what} {attr} may depend on x1 and x2 only",
                             section, attr)
-            if expr is not None and axes:
+            if expr is not None:
                 with np.errstate(all="ignore"):
                     values = grid_values(lambda u, v: expr(x1=u, x2=v), *axes)
                 if not np.all(np.isfinite(values)):

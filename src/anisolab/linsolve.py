@@ -75,18 +75,24 @@ def _max_abs(K) -> float:
     return abs(K).max() if issparse(K) else np.max(np.abs(K))
 
 
-def _is_symmetric(K):
-    """``max|K - K^T| <= SYMMETRY_TOL max|K|`` for a sparse or dense matrix,
-    for an operator held as a stencil (``stencil.is_symmetric``), or for an
-    operator that yields its rows in blocks with the same rows of its
-    transpose (``row_blocks``), so that no whole matrix is formed."""
-    stencil = getattr(K, "stencil", None)
-    if stencil is not None:
-        return stencil.is_symmetric()
-    blocks = K.row_blocks() if hasattr(K, "row_blocks") else ((K, K.T),)
+def _is_symmetric(K, scale: float = 0.0):
+    """``max|K - K^T| <= SYMMETRY_TOL max(max|K|, scale)`` for a sparse or
+    dense matrix, or for an operator with its own test of it
+    (``is_symmetric``: a stencil on its weights, a ``KronOperator`` without
+    forming its whole matrix).  ``scale`` is the size of an operator that
+    ``K`` is part of, so that a ``K`` of round-off next to it reads
+    symmetric."""
+    if hasattr(K, "is_symmetric"):
+        return K.is_symmetric(scale)
+    return _blocks_symmetric([(K, K.T)], scale)
+
+
+def _blocks_symmetric(blocks, scale: float = 0.0) -> bool:
+    """``max|K - K^T| <= SYMMETRY_TOL max(max|K|, scale)`` from
+    ``(K[rows], K^T[rows])`` pairs over blocks of rows that cover ``K``."""
     scales, gaps = zip(*((_max_abs(rows), _max_abs(rows - rows_t))
                          for rows, rows_t in blocks))
-    return np.max(gaps) <= SYMMETRY_TOL * max(np.max(scales), 1e-300)
+    return np.max(gaps) <= SYMMETRY_TOL * max(np.max(scales), scale, 1e-300)
 
 
 def lu_solver(K) -> Callable[[np.ndarray], np.ndarray]:

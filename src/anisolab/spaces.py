@@ -20,7 +20,8 @@ A :class:`GalerkinSpace` is the tensor product of two families with the flat
 index convention ``flat = i * dim2 + j`` (second direction fastest), which
 makes Kronecker-structured matrices index-transparent.  It owns the tensor
 quadrature grid: the rule and basis tables of each direction
-(:meth:`GalerkinSpace.rule`), the grid axes, discrete functions and their
+(:meth:`GalerkinSpace.rule`, read-only, and one set for both directions of
+a square space), the grid axes, discrete functions and their
 partials on the grid, the quadrature integral and the load of grid values.
 """
 
@@ -333,18 +334,31 @@ class GalerkinSpace:
             raise IndexError(f"flat index {flat} out of range for dim {self.dim}")
         return divmod(flat, self.basis2.dim)
 
+    @property
+    def is_square(self) -> bool:
+        """Whether both directions are the same family (kind, interval and
+        size), so that they share one rule and its tables."""
+        b1, b2 = self.basis1, self.basis2
+        return (b1.kind, b1.interval, b1.m) == (b2.kind, b2.interval, b2.m)
+
     @cached_property
     def _rules(self):
-        rules = []
-        for family in (self.basis1, self.basis2):
-            pts, wts = family.quad_points(self.quadrature.order)
-            rules.append((pts, wts, *family.eval_table(pts)))
-        return rules
+        first = self._rule_of(self.basis1)
+        return [first, first if self.is_square else self._rule_of(self.basis2)]
+
+    def _rule_of(self, family: BasisFamily1D):
+        pts, wts = family.quad_points(self.quadrature.order)
+        rule = (pts, wts, *family.eval_table(pts))
+        for a in rule:
+            a.flags.writeable = False
+        return rule
 
     def rule(self, direction: int):
         """``(points, weights, V, D)`` of one direction: its quadrature rule
         and the basis values and first derivatives at its points.  Built once
-        per space; read-only."""
+        per space, and once for both directions when they are the same
+        family (kind, interval and size), so that ``rule(2)`` returns the
+        arrays of ``rule(1)``; read-only."""
         return self._rules[0 if direction == 1 else 1]
 
     @property

@@ -1,13 +1,17 @@
 """Storage of Q1 operators: a tridiagonal 1D factor as its three diagonals,
-and an operator on a Q1 x Q1 space as one 9-point stencil.
+and an operator on a Q1 x Q1 space of two or more parts as one 9-point
+stencil.
 
 On the uniform mesh of a Q1 direction every 1D factor couples a hat only
 to its two neighbours, so :class:`Tridiagonal` keeps the ``(3, n)`` array
-of its diagonals.  On the ``(n1, n2)`` node grid of a Q1 x Q1 space every
-form couples a node only to the nine nodes around it, so :class:`Stencil`
-keeps the ``(3, 3, n1, n2)`` array of those couplings and applies it by
-nine shifted multiply-adds on the flat vector, with no sparse matrix; the
-CSR and dense views are built on demand.  :func:`_element_stencil`
+of its diagonals, and applies it to the columns (``@``) or the rows
+(``apply_to_rows``) of a matrix; an operator of one Kronecker term is
+applied through its two factors, ``6 n`` doubles.  On the ``(n1, n2)``
+node grid of a Q1 x Q1 space every form couples a node only to the nine
+nodes around it, so :class:`Stencil` keeps the ``(3, 3, n1, n2)`` array of
+those couplings and applies it by nine shifted multiply-adds on the flat
+vector, with no sparse matrix; the CSR and dense views are built on demand,
+and the symmetry test reads the weights.  :func:`_element_stencil`
 contracts the grid form of a coefficient that does not split straight into
 a stencil, element block by element block, since each quadrature point
 touches two hats per direction.
@@ -60,6 +64,15 @@ class Tridiagonal:
         out[:-1] += upper[:-1] * X[1:]
         return out
 
+    def apply_to_rows(self, Y: np.ndarray) -> np.ndarray:
+        """``Y @ B^T``, ``B`` applied to each row of a matrix ``Y`` of ``n``
+        columns, with no transposed copy."""
+        lower, diag, upper = self.bands
+        out = Y * diag
+        out[:, 1:] += Y[:, :-1] * lower[1:]
+        out[:, :-1] += Y[:, 1:] * upper[:-1]
+        return out
+
 
 class Stencil:
     """A 9-point operator on the ``(n1, n2)`` node grid of a Q1 x Q1 space,
@@ -101,17 +114,17 @@ class Stencil:
     def diagonal(self) -> np.ndarray:
         return self.weights[1, 1].ravel().copy()
 
-    def is_symmetric(self) -> bool:
-        """``max|K - K^T| <= SYMMETRY_TOL max|K|``, the relative test of
-        ``_is_symmetric``, on the weights: ``K^T`` couples node ``p`` to
-        node ``p + s`` by the weight of ``p + s`` to ``p``, the neighbour
-        ``8 - k`` of the opposite offset."""
+    def is_symmetric(self, scale: float = 0.0) -> bool:
+        """``max|K - K^T| <= SYMMETRY_TOL max(max|K|, scale)``, the relative
+        test of ``_is_symmetric``, on the weights: ``K^T`` couples node
+        ``p`` to node ``p + s`` by the weight of ``p + s`` to ``p``, the
+        neighbour ``8 - k`` of the opposite offset."""
         n = self.shape[0]
         W = self.weights.reshape(9, n)
         shifts = [(k, self._shift(k)) for k in (5, 6, 7, 8)]
         gap = max((_max_abs(W[k, :n - s] - W[8 - k, s:]) for k, s in shifts if s < n),
                   default=0.0)
-        return gap <= SYMMETRY_TOL * max(_max_abs(W), 1e-300)
+        return gap <= SYMMETRY_TOL * max(_max_abs(W), scale, 1e-300)
 
     def _entries(self):
         """``(rows, cols, values)`` of the couplings to every existing node,

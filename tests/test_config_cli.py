@@ -528,6 +528,34 @@ class TestDeclaredSourceSlices:
             assert load_config(path).problem.f_slices_vanish_x1
 
 
+class TestDeclaredPartials:
+    # the declared partials of rate_offdiag_variable.cfg sit on lines 9-12; a
+    # non-finite a12 partial ended in a numpy warning and a ledger error with
+    # no position, and one of a21 was never sampled, so the run exited 0
+    @pytest.mark.parametrize("line,key,value", [
+        (9, "a12_dx1", "1/x1"),
+        (12, "a21_dx2", "1/x2"),
+    ])
+    def test_non_finite_partial_is_a_config_error_at_the_key(self, tmp_path, capsys,
+                                                             line, key, value):
+        lines = (CONFIG_DIR / "rate_offdiag_variable.cfg").read_text().splitlines()
+        assert lines[line - 1].startswith(f"{key} = ")
+        lines[line - 1] = f'{key} = "{value}"'
+        cfg_path = tmp_path / "partial.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        message = f"coefficient derivative {key} is not finite on the domain"
+        with pytest.raises(ConfigError, match=message) as err:
+            load_config(cfg_path)
+        assert (err.value.line, err.value.column) == (line, 1)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line {line}, column 1: {message}\n"
+        assert not (out / "summary.json").exists()
+
+
 class TestRepeatedKey:
     def test_second_occurrence_is_an_error(self):
         with pytest.raises(ConfigError, match="key 'kind' given twice in "

@@ -22,8 +22,10 @@ def _row(*args):
     lines = run.stdout.splitlines()
     assert len(lines) == 3
     assert lines[1].split() == ["m", "dim", "assemble", "ms", "stored",
-                                "doubles", "limit", "solve", "ms", "CG", "its"]
-    m, dim, _, stored, _, iterations = lines[2].split()
+                                "doubles", "limit", "solve", "ms", "CG", "its",
+                                "peak", "MiB"]
+    m, dim, _, stored, _, iterations, peak = lines[2].split()
+    assert float(peak) >= 0.0
     return m, dim, stored, iterations
 
 
@@ -33,6 +35,6 @@ def test_one_size_runs_and_reports_its_row():
 
 
 def test_one_q1_size_counts_its_stencils():
-    # four shared 1D factors of 3 diagonals, and a stencil of 9 * 3 * 3
-    # doubles for each of K11, K22, M, G1 and G2 (K12 and K21 are zero)
-    assert _row("--basis", "q1", "--sizes", "4") == ("4", "9", str(4 * 9 + 5 * 81), "1")
+    # four shared 1D factors of 3 diagonals; K11, K22, M, G1 and G2 are one
+    # term each and fold no stencil (K12 and K21 are zero)
+    assert _row("--basis", "q1", "--sizes", "4") == ("4", "9", str(4 * 9), "1")

@@ -1,20 +1,24 @@
-"""The q1 x q1 operators, kept as one 9-point stencil, against the matrix
-materialised from the basis tables alone.
+"""The q1 x q1 operators, each one 9-point stencil or, for one term and no
+remainder, its two tridiagonal factors, against the matrix materialised
+from the basis tables alone.
 
-Every view of ``AssembledProblem.operator`` (``@``, ``diagonal``,
-``toarray``, ``tocsr``) and its ``symmetric`` verdict must agree with the
+Every view of ``AssembledProblem.operator`` and of each block and norm
+matrix (``@``, ``diagonal``, ``toarray``, ``tocsr``), its symmetry verdict
+on the weights and the system's ``symmetric`` verdict must agree with the
 Galerkin matrix summed point by point over the quadrature grid, to 1e-14
 relative, on spaces with ``m1 != m2`` (so that a swapped axis shows) and for
-separable, genuinely 2D and nonsymmetric coefficients.
+separable, genuinely 2D and nonsymmetric coefficients.  No verdict is taken
+by row blocks.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisolab.assembly import assemble_system
+from anisolab.assembly import KronOperator, assemble_system
 from anisolab.coefficients import CoefficientField, ScalarField, as_field, grid_values
 from anisolab.expressions import parse_expression
 from anisolab.linsolve import _is_symmetric
@@ -52,15 +56,26 @@ def _coefficients(kind, c):
         _field(lambda x1, x2: c * np.sin(x1 + 2 * x2) / 2), 1.0, lam=0.1)
 
 
-def _block(space, coef, test_sel, trial_sel):
+def _block(space, coef, test_sel, trial_sel, magnitude=False):
     """``sum_{p,q} w1 w2 c D^t phi_(i,j) D^s phi_(k,l)`` over the quadrature
-    grid, from the dense basis tables, on the flat index ``i * n2 + j``."""
+    grid, from the dense basis tables, on the flat index ``i * n2 + j``; with
+    ``magnitude``, the same sum of absolute values, the size of the terms
+    before they cancel."""
     (x1, w1, V1, D1), (x2, w2, V2, D2) = space.rule(1), space.rule(2)
     W = np.outer(w1, w2) * grid_values(coef, x1, x2)
     S1, T1 = (D1 if sel == 1 else V1 for sel in (test_sel, trial_sel))
     S2, T2 = (D2 if sel == 2 else V2 for sel in (test_sel, trial_sel))
-    R = np.einsum("pi,qj,pq,pk,ql->ijkl", S1, S2, W, T1, T2)
+    tables = (S1, S2, W, T1, T2)
+    R = np.einsum("pi,qj,pq,pk,ql->ijkl", *map(np.abs, tables) if magnitude else tables,
+                  optimize=True)
     return R.reshape(space.dim, space.dim)
+
+
+# the blocks and norm matrices: (coefficient, None for 1, test and trial
+# selectors)
+PARTS = {"K11": ("a11", 1, 1), "K12": ("a12", 1, 2), "K21": ("a21", 2, 1),
+         "K22": ("a22", 2, 2), "M": (None, 0, 0), "G1": (None, 1, 1),
+         "G2": (None, 2, 2)}
 
 
 def _materialised(space, A, epsilon, mu):
@@ -74,6 +89,26 @@ def _materialised(space, A, epsilon, mu):
 
 def _assert_close(got, want, scale):
     assert np.max(np.abs(got - want)) <= TOL * scale
+
+
+def _no_row_blocks(self):
+    raise AssertionError("a q1 x q1 verdict was taken by row blocks")
+
+
+def _assert_views(op, want, size, x):
+    """Every view of ``op`` agrees with ``want`` relative to ``size``, the
+    absolute values of its terms; returns the verdicts of ``want`` and of
+    ``op`` on its weights."""
+    scale = np.max(size)
+    assert not op.is_zero
+    # one term and no remainder keeps its factors and never folds
+    assert (op.stencil is None) == (len(op.terms) == 1 and not op.remainders)
+    _assert_close(op @ x, want @ x, np.max(size @ np.abs(x)))
+    _assert_close(op.diagonal(), np.diag(want), scale)
+    _assert_close(op.toarray(), want, scale)
+    _assert_close(op.tocsr().toarray(), want, scale)
+    verdict = _is_symmetric(want)
+    return verdict, op.is_symmetric()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -90,20 +125,21 @@ def test_stencil_views_match_the_materialised_matrix(m1, m2, kind, c, epsilon, m
     space = build_space(DOMAIN, "q1", m1, "q1", m2)
     A = _coefficients(kind, c)
     system = assemble_system(space, A)
-    op = system.operator(epsilon, mu)
-    want = _materialised(space, A, epsilon, mu)
-    scale = np.max(np.abs(want))
     x = np.random.default_rng(seed).normal(size=space.dim)
-
-    assert op.stencil is not None
-    _assert_close(op @ x, want @ x, np.max(np.abs(want) @ np.abs(x)))
-    _assert_close(op.diagonal(), np.diag(want), scale)
-    _assert_close(op.toarray(), want, scale)
-    _assert_close(op.tocsr().toarray(), want, scale)
-    verdict = _is_symmetric(want)
-    assert op.stencil.is_symmetric() == verdict
-    if min(m1, m2) > 2:
-        # with one node in a direction the coupling is 0 up to round-off,
-        # and the verdict on it alone may read nonsymmetric
+    with mock.patch.object(KronOperator, "row_blocks", _no_row_blocks):
+        op = system.operator(epsilon, mu)
+        want = _materialised(space, A, epsilon, mu)
+        verdict, on_weights = _assert_views(op, want, np.abs(want), x)
+        assert on_weights == verdict
         assert op.symmetric == verdict
-        assert verdict == (epsilon is None or kind != "nonsymmetric")
+        if min(m1, m2) > 2:
+            assert verdict == (epsilon is None or kind != "nonsymmetric")
+        for name, (coef, test_sel, trial_sel) in PARTS.items():
+            field = as_field(1.0) if coef is None else getattr(A, coef)
+            want, size = (_block(space, field, test_sel, trial_sel, magnitude)
+                          for magnitude in (False, True))
+            verdict, on_weights = _assert_views(getattr(system, name), want, size, x)
+            if min(m1, m2) > 2:
+                # with one node in a direction K12 and K21 are round-off,
+                # and any verdict on them alone is noise
+                assert on_weights == verdict
